@@ -644,6 +644,31 @@ impl<V> Art<V> {
         keep_going
     }
 
+    /// Visit every `(key, value)` pair in key order (an in-order walk:
+    /// a node's prefix-key leaf precedes its children).
+    pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
+        if let Some(root) = self.root {
+            self.for_each_rec(root, &mut f);
+        }
+    }
+
+    fn for_each_rec(&self, ptr: Ptr, f: &mut impl FnMut(&[u8], &V)) {
+        if let Some(leaf) = ptr.as_leaf() {
+            let l = &self.leaves[leaf];
+            f(&l.key, &l.value);
+            return;
+        }
+        let node = &self.nodes[ptr.as_node().expect("valid ptr")];
+        if let Some(t) = node.term.as_leaf() {
+            let l = &self.leaves[t];
+            f(&l.key, &l.value);
+        }
+        node.children.for_each_from(0, |_, child| {
+            self.for_each_rec(child, f);
+            true
+        });
+    }
+
     /// Average leaf depth in node steps (tree-height diagnostic).
     pub fn avg_depth(&self) -> f64 {
         if self.leaves.is_empty() {
@@ -686,6 +711,10 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Art<V> {
 
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         Art::range_into(self, low, high, limit, out)
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        Art::for_each(self, f)
     }
 
     fn len(&self) -> usize {

@@ -27,10 +27,13 @@
 //!   path — the v1 range redesign must not cost scan throughput — and
 //!   pull mode at ≥ 0.85× push mode (the chunk path must stay lean).
 //!
-//! Output paths default to `BENCH_encode.json` / `BENCH_decode.json`
-//! (override with `--out PATH` / `--out-decode PATH`); see DESIGN.md
-//! "Reading BENCH_*.json". The binary exits non-zero when a headline
-//! target fails:
+//! Output paths default to `BENCH_encode.json` / `BENCH_decode.json`,
+//! or `BENCH_encode.quick.json` / `BENCH_decode.quick.json` under
+//! `--quick`, so a smoke run never overwrites the full-size artifacts.
+//! `--out PATH` / `--out-decode PATH` override them; `--out` alone puts
+//! the decode file beside `PATH` (see [`decode_path_for`]) rather than at
+//! the default. See DESIGN.md "Reading BENCH_*.json". The binary exits
+//! non-zero when a headline target fails:
 //!
 //! * Single-Char fast encode ≥ 2× generic-alloc;
 //! * 3-Grams and 4-Grams fast encode ≥ 1.5× generic-alloc (the trie
@@ -474,18 +477,38 @@ fn bench_telemetry_overhead(keys: &[Vec<u8>]) -> TelemetryOverhead {
     TelemetryOverhead { probes: probes.len(), plain_ns, sampled_ns, ratio }
 }
 
-fn out_flag(cfg: &BenchConfig, flag: &str, default: &str) -> String {
-    cfg.flags
-        .iter()
-        .position(|f| f == flag)
-        .and_then(|i| cfg.flags.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
+fn out_flag(cfg: &BenchConfig, flag: &str) -> Option<String> {
+    cfg.flags.iter().position(|f| f == flag).and_then(|i| cfg.flags.get(i + 1).cloned())
+}
+
+/// Where the decode results go when only `--out` names the encode file:
+/// the same path with its last `encode` turned into `decode`, or with
+/// `.decode` before the extension when the name has no `encode` in it.
+fn decode_path_for(out: &str) -> String {
+    let name_at = out.rfind('/').map_or(0, |i| i + 1);
+    if let Some(i) = out[name_at..].rfind("encode") {
+        let at = name_at + i;
+        return format!("{}decode{}", &out[..at], &out[at + "encode".len()..]);
+    }
+    match out[name_at..].rfind('.') {
+        Some(i) => format!("{}.decode{}", &out[..name_at + i], &out[name_at + i..]),
+        None => format!("{out}.decode"),
+    }
+}
+
+/// The `(encode, decode)` output paths for this run (module docs).
+fn out_paths(cfg: &BenchConfig) -> (String, String) {
+    let suffix = if cfg.quick { ".quick.json" } else { ".json" };
+    let out = out_flag(cfg, "--out");
+    let decode = out_flag(cfg, "--out-decode")
+        .or_else(|| out.as_deref().map(decode_path_for))
+        .unwrap_or_else(|| format!("BENCH_decode{suffix}"));
+    (out.unwrap_or_else(|| format!("BENCH_encode{suffix}")), decode)
 }
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = out_flag(&cfg, "--out", "BENCH_encode.json");
-    let out_decode = out_flag(&cfg, "--out-decode", "BENCH_decode.json");
+    let (out_path, out_decode) = out_paths(&cfg);
 
     let keys = load_dataset(Dataset::Email, &cfg);
     let sample = cfg.sample(&keys);
@@ -773,4 +796,36 @@ fn write_decode_json(
     ));
     s.push_str("}\n");
     std::fs::write(path, s).expect("write BENCH_decode.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn paths(args: &[&str]) -> (String, String) {
+        let mut cfg = BenchConfig::default();
+        for a in args {
+            match *a {
+                "--quick" => cfg.quick = true,
+                other => cfg.flags.push(other.to_string()),
+            }
+        }
+        out_paths(&cfg)
+    }
+
+    #[test]
+    fn quick_runs_never_write_the_full_size_artifacts() {
+        let full = ("BENCH_encode.json".to_string(), "BENCH_decode.json".to_string());
+        assert_eq!(paths(&[]), full);
+        let quick = paths(&["--quick"]);
+        assert_eq!(quick, ("BENCH_encode.quick.json".into(), "BENCH_decode.quick.json".into()));
+        // `--out` alone never falls back to the default decode file.
+        assert_eq!(
+            paths(&["--out", "x/enc.json"]),
+            ("x/enc.json".into(), "x/enc.decode.json".into())
+        );
+        assert_eq!(paths(&["--quick", "--out", "r/my_encode_1.json"]).1, "r/my_decode_1.json");
+        assert_eq!(paths(&["--out", "encode_dir/run"]).1, "encode_dir/run.decode");
+        assert_eq!(paths(&["--out", "a.json", "--out-decode", "b.json"]).1, "b.json");
+    }
 }

@@ -160,15 +160,13 @@ impl KeyList {
         }
     }
 
-    /// Heap bytes: key-slot pointers (16 B each, the TLX "reference
-    /// pointer") plus out-of-node key bytes plus the shared prefix.
+    /// Heap bytes: allocated key-slot pointers (16 B each, the TLX
+    /// "reference pointer") plus out-of-node key bytes plus the shared
+    /// prefix's buffer.
     fn memory_bytes(&self) -> usize {
-        self.prefix.len()
-            + self
-                .suffixes
-                .iter()
-                .map(|s| std::mem::size_of::<Box<[u8]>>() + s.len())
-                .sum::<usize>()
+        self.prefix.capacity()
+            + self.suffixes.capacity() * std::mem::size_of::<Box<[u8]>>()
+            + self.suffixes.iter().map(|s| s.len()).sum::<usize>()
     }
 }
 
@@ -261,22 +259,51 @@ impl<V> BPlusTree<V> {
         h
     }
 
-    /// Total memory: node structures + key slots + out-of-node key bytes
-    /// + in-node value slots.
+    /// Total heap memory: the node arena + key slots + out-of-node key
+    /// bytes + value and child slots, every `Vec` counted at its
+    /// allocated capacity (what the allocator holds, not what is in use).
     pub fn memory_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf(l) => {
-                    std::mem::size_of::<Node<V>>()
-                        + l.keys.memory_bytes()
-                        + l.values.len() * std::mem::size_of::<V>()
+        self.nodes.capacity() * std::mem::size_of::<Node<V>>()
+            + self
+                .nodes
+                .iter()
+                .map(|n| match n {
+                    Node::Leaf(l) => {
+                        l.keys.memory_bytes() + l.values.capacity() * std::mem::size_of::<V>()
+                    }
+                    Node::Inner(i) => {
+                        i.seps.memory_bytes() + i.children.capacity() * std::mem::size_of::<u32>()
+                    }
+                })
+                .sum::<usize>()
+    }
+
+    /// Visit every `(key, value)` pair in key order by walking the leaf
+    /// chain. Keys of a prefix-truncated leaf are reassembled into one
+    /// reused buffer; plain-tree keys are passed straight from the node.
+    pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
+        let mut at = self.root;
+        while let Node::Inner(inner) = &self.nodes[at as usize] {
+            at = inner.children[0];
+        }
+        let mut buf = Vec::new();
+        while let Node::Leaf(leaf) = &self.nodes[at as usize] {
+            let KeyList { prefix, suffixes } = &leaf.keys;
+            for (suffix, value) in suffixes.iter().zip(&leaf.values) {
+                if prefix.is_empty() {
+                    f(suffix, value);
+                } else {
+                    buf.clear();
+                    buf.extend_from_slice(prefix);
+                    buf.extend_from_slice(suffix);
+                    f(&buf, value);
                 }
-                Node::Inner(i) => {
-                    std::mem::size_of::<Node<V>>() + i.seps.memory_bytes() + i.children.len() * 4
-                }
-            })
-            .sum()
+            }
+            if leaf.next == NO_NODE {
+                break;
+            }
+            at = leaf.next;
+        }
     }
 
     /// Insert or update; returns the previous value if present.
@@ -465,6 +492,10 @@ impl<V: hope::Value> hope::OrderedIndex<V> for BPlusTree<V> {
 
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         BPlusTree::range_into(self, low, high, limit, out)
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        BPlusTree::for_each(self, f)
     }
 
     fn len(&self) -> usize {

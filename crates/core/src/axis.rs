@@ -192,6 +192,13 @@ impl IntervalSet {
         self.boundaries.is_empty()
     }
 
+    /// Heap bytes held: boundary slots and bytes plus symbol lengths.
+    pub fn memory_bytes(&self) -> usize {
+        self.boundaries.capacity() * std::mem::size_of::<Box<[u8]>>()
+            + self.boundaries.iter().map(|b| b.len()).sum::<usize>()
+            + self.symbol_lens.capacity() * std::mem::size_of::<u16>()
+    }
+
     /// Left boundary of interval `i`.
     #[inline]
     pub fn boundary(&self, i: usize) -> &[u8] {

@@ -378,6 +378,19 @@ impl Hope {
         self.encoder.dict().memory_bytes()
     }
 
+    /// Every heap byte this compressor holds: the dictionary, its
+    /// fast-path encode table, the interval division and code list kept
+    /// from the build, and the shared decoder once it has been built.
+    /// [`Hope::dict_memory_bytes`] is the dictionary alone (the paper's
+    /// dictionary-size metric).
+    pub fn heap_bytes(&self) -> usize {
+        self.dict_memory_bytes()
+            + self.encoder.fast().map_or(0, |f| f.memory_bytes())
+            + self.intervals.memory_bytes()
+            + self.codes.capacity() * std::mem::size_of::<crate::bitpack::Code>()
+            + self.shared_decoder.get().map_or(0, |d| d.memory_bytes())
+    }
+
     /// Build-phase timing breakdown (Figure 9).
     pub fn timings(&self) -> BuildTimings {
         self.timings

@@ -273,10 +273,12 @@ impl Decoder {
         }
     }
 
-    /// Bytes of memory used by the trie.
+    /// Heap bytes held by the trie: node and leaf arrays at their
+    /// allocated capacity plus the symbol slots and bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * 8
-            + self.leaf.len() * 4
+        self.nodes.capacity() * std::mem::size_of::<[u32; 2]>()
+            + self.leaf.capacity() * std::mem::size_of::<u32>()
+            + self.symbols.capacity() * std::mem::size_of::<Box<[u8]>>()
             + self.symbols.iter().map(|s| s.len()).sum::<usize>()
     }
 }
@@ -594,7 +596,7 @@ impl FastDecoder {
             + self.node_state.len() * 4
             + self.state_node.len() * 4
             + self.entries.len() * std::mem::size_of::<ByteEntry>()
-            + self.emit_bytes.len()
+            + self.emit_bytes.capacity()
     }
 }
 

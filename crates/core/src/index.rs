@@ -62,6 +62,13 @@ pub trait OrderedIndex<V: Value = u64>: Send + Sync + std::fmt::Debug {
     /// (`low > high`) must emit nothing.
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>);
 
+    /// Visit every `(key, value)` pair in key order. The key slice is
+    /// only valid for the duration of the call (an index that stores
+    /// keys split, like a prefix-truncated B+tree, reassembles them into
+    /// one reused buffer). This is how a caller recovers the keys an
+    /// index holds without keeping a second copy of them.
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V));
+
     /// Values of up to `count` keys `>= start`, in key order (allocating
     /// convenience over [`OrderedIndex::scan_into`]).
     fn scan(&self, start: &[u8], count: usize) -> Vec<V> {
@@ -131,6 +138,12 @@ impl<V: Value> OrderedIndex<V> for std::collections::BTreeMap<Vec<u8>, V> {
         out.extend(self.range(low.to_vec()..=high.to_vec()).take(limit).map(|(_, v)| v.clone()));
     }
 
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        for (k, v) in self {
+            f(k, v);
+        }
+    }
+
     fn len(&self) -> usize {
         std::collections::BTreeMap::len(self)
     }
@@ -168,6 +181,9 @@ mod tests {
         buf.clear();
         ix.range_into(b"b", b"a", 10, &mut buf);
         assert!(buf.is_empty());
+        let mut visited: Vec<(Vec<u8>, u64)> = Vec::new();
+        ix.for_each(&mut |k, v| visited.push((k.to_vec(), *v)));
+        assert_eq!(visited, vec![(b"a".to_vec(), 10), (b"ab".to_vec(), 3), (b"b".to_vec(), 2)]);
         assert!(ix.memory_bytes() > 0);
     }
 

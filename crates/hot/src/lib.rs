@@ -422,6 +422,24 @@ impl<V> Hot<V> {
         }
     }
 
+    /// Visit every `(key, value)` pair in key order: an in-order walk of
+    /// the compound nodes, reading each leaf's records from the record
+    /// heap (which itself is in insertion order).
+    pub fn for_each(&self, mut f: impl FnMut(&[u8], &V)) {
+        let mut stack = vec![self.root];
+        while let Some(at) = stack.pop() {
+            match &self.nodes[at as usize] {
+                Node::Leaf { recs } => {
+                    for &r in recs {
+                        let (key, value) = &self.records[r as usize];
+                        f(key, value);
+                    }
+                }
+                Node::Inner { children, .. } => stack.extend(children.iter().rev()),
+            }
+        }
+    }
+
     /// Average leaf depth (compound-node steps) — height diagnostic.
     pub fn avg_depth(&self) -> f64 {
         if self.records.is_empty() {
@@ -466,6 +484,10 @@ impl<V: hope::Value> hope::OrderedIndex<V> for Hot<V> {
 
     fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<V>) {
         Hot::range_into(self, low, high, limit, out)
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &V)) {
+        Hot::for_each(self, f)
     }
 
     fn len(&self) -> usize {

@@ -12,13 +12,18 @@
 //! preserves source order except that two distinct keys can **tie** (the
 //! zero-extension corner, see DESIGN.md "Encoded-key comparison"). A
 //! generation therefore never maps encoded bytes straight to a value:
-//! index values are ids into a slot table, and each slot holds the entries
-//! of every live key sharing that byte string, ordered by source key.
-//! Point lookups re-check the source key inside the slot and range scans
-//! re-check the source bounds, so the store is exact for arbitrary byte
-//! keys — not just keys where ties cannot occur. The index is always
-//! slot-id-valued ([`SlotId`](crate::SlotId)) regardless of the payload
-//! type `V`; the payload lives in the entry log.
+//! index values are slot ids, a slot's **head** is the log index of the
+//! smallest live source key indexed under that byte string, and the
+//! remaining live keys of a tie follow it in source order through each
+//! entry's `tie` link. Point lookups re-check the source key along the
+//! chain and range scans re-check the source bounds, so the store is
+//! exact for arbitrary byte keys — not just keys where ties cannot occur.
+//! The index is always slot-id-valued ([`SlotId`](crate::SlotId))
+//! regardless of the payload type `V`; the payload lives in the entry log.
+//!
+//! Each encoded key is stored exactly once, in the index: paths that need
+//! the encodings back (a merge rebuild's splice input) read them out of
+//! the index with [`OrderedIndex::for_each`].
 //!
 //! ## Lock discipline
 //!
@@ -53,39 +58,66 @@ thread_local! {
     static SCAN: RefCell<Vec<SlotId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `prev` sentinel: this entry superseded nothing (first version of its
-/// key in this log). Safe as a sentinel because the capacity guard in
-/// `apply_insert` rejects the insert that would *create* index
+/// Link sentinel for both chains: in `prev`, this entry superseded
+/// nothing (first version of its key in this log); in `tie`, this entry
+/// ends its slot's tie chain. Safe as a sentinel because the capacity
+/// guard in `apply_insert` rejects the insert that would *create* index
 /// `u32::MAX` before it happens.
 pub(crate) const NO_PREV: u32 = u32::MAX;
 
 /// One stored record: the original (uncompressed) key and its value.
 ///
 /// The source key must be retained anyway to re-encode the shard under a
-/// new dictionary at swap time; keeping it per entry also gives the slot
-/// table something authoritative to compare against.
+/// new dictionary at swap time; keeping it per entry also gives tie
+/// resolution something authoritative to compare against.
 ///
 /// `prev` threads the per-key **version chain** through the append-only
 /// log: an update's entry records the log index it superseded
-/// ([`NO_PREV`] for a first version). Because slots point at the newest
-/// entry and every link strictly decreases the index, "the value of key
-/// K at log watermark W" is: follow the chain from the slot's entry
-/// until the index drops below W (that version was live at W), or the
-/// chain ends (K did not exist at W). This is what gives store-wide
-/// snapshots point-in-time reads over a generation that keeps mutating.
+/// ([`NO_PREV`] for a first version). Because the tie chain links only
+/// the newest entry of each key and every `prev` link strictly decreases
+/// the index, "the value of key K at log watermark W" is: follow the
+/// chain from K's live entry until the index drops below W (that version
+/// was live at W), or the chain ends (K did not exist at W). This is what
+/// gives store-wide snapshots point-in-time reads over a generation that
+/// keeps mutating.
+///
+/// `tie` threads the **tie chain**: the next live entry, in source order,
+/// indexed under the same padded bytes ([`NO_PREV`] at the end). Only
+/// live entries' links are meaningful; a superseded entry keeps the link
+/// it had when it was replaced, and nothing follows it.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry<V> {
     pub key: Box<[u8]>,
     pub value: V,
     /// Log index this entry superseded, or [`NO_PREV`].
     pub prev: u32,
+    /// Log index of the next live entry of this slot, or [`NO_PREV`].
+    pub tie: u32,
 }
 
+// The tie link fills what was padding after `prev`: an id-valued entry
+// stays half a cache line.
+const _: () = assert!(std::mem::size_of::<Entry<u64>>() == 32);
+
 impl<V> Entry<V> {
-    /// A first-version entry (no predecessor in the chain).
+    /// A first-version entry (no predecessor, no tie successor).
     pub(crate) fn new(key: Box<[u8]>, value: V) -> Entry<V> {
-        Entry { key, value, prev: NO_PREV }
+        Entry { key, value, prev: NO_PREV, tie: NO_PREV }
     }
+}
+
+/// The live entries of one slot, in source order: walk the tie chain
+/// from the slot's head, yielding `(log index, entry)`.
+fn tie_chain<V>(entries: &[Entry<V>], head: u32) -> impl Iterator<Item = (u32, &Entry<V>)> {
+    let mut next = head;
+    std::iter::from_fn(move || {
+        (next != NO_PREV).then(|| {
+            let ei = next;
+            let e = &entries[ei as usize];
+            next = e.tie;
+            (ei, e)
+        })
+    })
 }
 
 /// Resolve the chain member of `ei` visible at log watermark `at`
@@ -107,25 +139,58 @@ fn visible_at<V>(entries: &[Entry<V>], mut ei: u32, at: Option<usize>) -> Option
 /// The mutable interior of a generation.
 ///
 /// `entries` is an **append-only log**: updates append a fresh entry and
-/// re-point the slot at it rather than overwriting in place. That makes
-/// the swap protocol trivial — everything a writer did after the rebuild
-/// snapshot is exactly `entries[watermark..]`, replayable in order — at
-/// the cost of dead log entries that the next rebuild compacts away.
+/// re-link the tie chain to it rather than overwriting in place. That
+/// makes the swap protocol trivial — everything a writer did after the
+/// rebuild snapshot is exactly `entries[watermark..]`, replayable in
+/// order — at the cost of dead log entries that the next rebuild
+/// compacts away.
 #[derive(Debug)]
 pub(crate) struct GenData<V> {
-    /// Ordered index over encoded padded bytes; values are slot ids.
+    /// Ordered index over encoded padded bytes; values are slot ids. The
+    /// only place the encoded keys live.
     pub index: Box<dyn OrderedIndex<SlotId>>,
     /// Append-only entry log (live and superseded).
     pub entries: Vec<Entry<V>>,
-    /// Slot id → live entry indices, ordered by source key.
-    pub slots: Vec<Vec<u32>>,
-    /// Slot id → the encoded padded byte string the slot indexes under.
-    /// The `OrderedIndex` contract yields values only, never keys, so
-    /// the generation keeps its own copy — this is what lets a merge
-    /// rebuild reuse already-encoded runs without re-deriving them.
-    pub encs: Vec<Box<[u8]>>,
+    /// Slot id → log index of the slot's smallest-source-key live entry,
+    /// the head of its tie chain ([`Entry::tie`]).
+    pub heads: Vec<u32>,
     /// Number of live keys.
     pub live: usize,
+}
+
+impl<V> GenData<V> {
+    /// Load **sorted** `entries` under their padded encodings
+    /// (`encodings` yields entry `i`'s bytes, in order). Sorted input keeps equal
+    /// encodings adjacent: a change of byte string opens a new slot, a
+    /// repeat extends the current slot's tie chain.
+    fn load(
+        mut index: Box<dyn OrderedIndex<SlotId>>,
+        mut entries: Vec<Entry<V>>,
+        encodings: impl IntoIterator<Item = Vec<u8>>,
+    ) -> GenData<V> {
+        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key), "load must be sorted");
+        // Loaded entries start fresh chains: a clone out of another
+        // generation's log carries links that mean nothing here.
+        for e in &mut entries {
+            e.prev = NO_PREV;
+            e.tie = NO_PREV;
+        }
+        entries.shrink_to_fit();
+        let mut heads: Vec<u32> = Vec::with_capacity(entries.len());
+        let mut prev: Option<Vec<u8>> = None;
+        for (i, bytes) in encodings.into_iter().enumerate() {
+            let i = i as u32;
+            if prev.as_deref() == Some(bytes.as_slice()) {
+                entries[i as usize - 1].tie = i;
+            } else {
+                heads.push(i);
+                index.insert(&bytes, (heads.len() - 1) as SlotId);
+                prev = Some(bytes);
+            }
+        }
+        let live = entries.len();
+        GenData { index, entries, heads, live }
+    }
 }
 
 /// An immutable dictionary plus the index of keys encoded under it,
@@ -191,36 +256,14 @@ impl<V: Value> Generation<V> {
         epoch: u64,
         hope: Hope,
         baseline_cpr: f64,
-        mut index: Box<dyn OrderedIndex<SlotId>>,
-        mut pairs: Vec<Entry<V>>,
+        index: Box<dyn OrderedIndex<SlotId>>,
+        pairs: Vec<Entry<V>>,
         batch_block: usize,
     ) -> Generation<V> {
-        debug_assert!(pairs.windows(2).all(|w| w[0].key < w[1].key), "bulk load must be sorted");
-        // Loaded entries start fresh chains: a clone out of another
-        // generation's log carries `prev` indices that mean nothing here.
-        for e in &mut pairs {
-            e.prev = NO_PREV;
-        }
         let keys: Vec<&[u8]> = pairs.iter().map(|e| e.key.as_ref()).collect();
         let encoded = hope.encode_batch(&keys, batch_block.max(1));
-        let live = pairs.len();
-        // Sorted input keeps equal encodings adjacent: open a new slot on
-        // every change of byte string, append to the current one on a tie.
-        let mut slots: Vec<Vec<u32>> = Vec::new();
-        let mut encs: Vec<Box<[u8]>> = Vec::new();
-        let mut prev: Option<Vec<u8>> = None;
-        for (i, enc) in encoded.into_iter().enumerate() {
-            let bytes = enc.into_bytes();
-            if prev.as_deref() == Some(bytes.as_slice()) {
-                slots.last_mut().expect("tie follows an opened slot").push(i as u32);
-            } else {
-                slots.push(vec![i as u32]);
-                index.insert(&bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.clone().into_boxed_slice());
-                prev = Some(bytes);
-            }
-        }
-        let data = GenData { index, entries: pairs, slots, encs, live };
+        drop(keys);
+        let data = GenData::load(index, pairs, encoded.into_iter().map(|enc| enc.into_bytes()));
         Generation {
             epoch,
             hope,
@@ -238,35 +281,28 @@ impl<V: Value> Generation<V> {
     /// dictionary emits those very bytes (see
     /// [`hope::diff::EncodingDiff`]). Only the changed keys run the
     /// encoder (still batch-encoded: they are a sorted subsequence, so
-    /// the prefix-reuse optimization applies). Slot construction is
-    /// identical to the bulk build's — reused and re-encoded runs
-    /// interleave into one sorted encoded stream.
+    /// the prefix-reuse optimization applies). Slot and tie-chain
+    /// construction is identical to the bulk build's — reused and
+    /// re-encoded runs interleave into one sorted encoded stream.
     pub(crate) fn build_merged(
         epoch: u64,
         hope: Hope,
         baseline_cpr: f64,
-        mut index: Box<dyn OrderedIndex<SlotId>>,
+        index: Box<dyn OrderedIndex<SlotId>>,
         source: MergeSource<V>,
         batch_block: usize,
     ) -> (Generation<V>, MergeStats) {
-        let MergeSource { mut pairs, old_encs, reuse } = source;
-        debug_assert!(pairs.windows(2).all(|w| w[0].key < w[1].key), "merge load must be sorted");
+        let MergeSource { pairs, old_encs, reuse } = source;
         debug_assert_eq!(pairs.len(), old_encs.len());
         debug_assert_eq!(pairs.len(), reuse.len());
-        for e in &mut pairs {
-            e.prev = NO_PREV;
-        }
         let changed: Vec<&[u8]> =
             pairs.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(e, _)| e.key.as_ref()).collect();
         let reencoded = hope.encode_batch(&changed, batch_block.max(1));
+        drop(changed);
         let mut reencoded_iter = reencoded.into_iter();
         let mut stats = MergeStats::default();
-        let live = pairs.len();
-        let mut slots: Vec<Vec<u32>> = Vec::new();
-        let mut encs: Vec<Box<[u8]>> = Vec::new();
-        let mut prev: Option<Vec<u8>> = None;
-        for (i, old_enc) in old_encs.into_iter().enumerate() {
-            let bytes: Vec<u8> = if reuse[i] {
+        let encodings = old_encs.into_iter().zip(reuse).map(|(old_enc, reused)| {
+            if reused {
                 stats.reused_bytes += old_enc.len() as u64;
                 old_enc.into_vec()
             } else {
@@ -274,17 +310,9 @@ impl<V: Value> Generation<V> {
                 let b = enc.into_bytes();
                 stats.reencoded_bytes += b.len() as u64;
                 b
-            };
-            if prev.as_deref() == Some(bytes.as_slice()) {
-                slots.last_mut().expect("tie follows an opened slot").push(i as u32);
-            } else {
-                slots.push(vec![i as u32]);
-                index.insert(&bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.clone().into_boxed_slice());
-                prev = Some(bytes);
             }
-        }
-        let data = GenData { index, entries: pairs, slots, encs, live };
+        });
+        let data = GenData::load(index, pairs, encodings);
         let generation = Generation {
             epoch,
             hope,
@@ -340,14 +368,15 @@ impl<V: Value> Generation<V> {
         self.len() == 0
     }
 
-    /// Memory footprint: index structure + entry log + slot table +
-    /// retained per-slot encodings.
+    /// Heap footprint, dictionary excluded: index structure + entry log
+    /// (at its allocated capacity) + source-key bytes + slot heads. Heap
+    /// that values of type `V` own themselves is not counted.
     pub fn memory_bytes(&self) -> usize {
         let d = self.read();
         d.index.memory_bytes()
-            + d.entries.iter().map(|e| e.key.len() + std::mem::size_of::<Entry<V>>()).sum::<usize>()
-            + d.slots.iter().map(|s| s.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum::<usize>()
-            + d.encs.iter().map(|e| e.len() + std::mem::size_of::<Box<[u8]>>()).sum::<usize>()
+            + d.entries.capacity() * std::mem::size_of::<Entry<V>>()
+            + d.entries.iter().map(|e| e.key.len()).sum::<usize>()
+            + d.heads.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Point lookup by source key, cloning the value out (a copy for
@@ -378,21 +407,20 @@ impl<V: Value> Generation<V> {
             let enc = self.hope.encode_to(key, scratch)?;
             let d = self.read();
             let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            let slot = &d.slots[slot as usize];
-            Ok(slot
-                .iter()
-                .map(|&ei| &d.entries[ei as usize])
-                .find(|e| e.key.as_ref() == key)
-                .map(|e| f(&e.value)))
+            let found = tie_chain(&d.entries, d.heads[slot as usize])
+                .find(|(_, e)| e.key.as_ref() == key)
+                .map(|(_, e)| f(&e.value));
+            Ok(found)
         })
     }
 
     /// Point-in-time point lookup: the value `key` had when the log
     /// stood at `watermark` entries — the read primitive behind
-    /// [`Snapshot`](crate::versioned::Snapshot). Resolves the slot's
-    /// entry through its version chain (see [`Entry::prev`]): entries
-    /// appended at or after the watermark are invisible, and a key whose
-    /// whole chain postdates the watermark did not exist then.
+    /// [`Snapshot`](crate::versioned::Snapshot). Resolves the key's live
+    /// entry (found along the slot's tie chain) through its version
+    /// chain (see [`Entry::prev`]): entries appended at or after the
+    /// watermark are invisible, and a key whose whole chain postdates the
+    /// watermark did not exist then.
     ///
     /// # Errors
     ///
@@ -402,12 +430,11 @@ impl<V: Value> Generation<V> {
             let enc = self.hope.encode_to(key, scratch)?;
             let d = self.read();
             let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            Ok(d.slots[slot as usize]
-                .iter()
-                .copied()
-                .find(|&ei| d.entries[ei as usize].key.as_ref() == key)
-                .and_then(|ei| visible_at(&d.entries, ei, Some(watermark)))
-                .map(|e| e.value.clone()))
+            let found = tie_chain(&d.entries, d.heads[slot as usize])
+                .find(|(_, e)| e.key.as_ref() == key)
+                .and_then(|(ei, _)| visible_at(&d.entries, ei, Some(watermark)))
+                .map(|e| e.value.clone());
+            Ok(found)
         })
     }
 
@@ -427,11 +454,9 @@ impl<V: Value> Generation<V> {
             let t1 = Instant::now();
             let d = self.read();
             let found = d.index.get(enc).and_then(|&slot| {
-                d.slots[slot as usize]
-                    .iter()
-                    .map(|&ei| &d.entries[ei as usize])
-                    .find(|e| e.key.as_ref() == key)
-                    .map(|e| e.value.clone())
+                tie_chain(&d.entries, d.heads[slot as usize])
+                    .find(|(_, e)| e.key.as_ref() == key)
+                    .map(|(_, e)| e.value.clone())
             });
             let probe_ns = t1.elapsed().as_nanos() as u64;
             Ok((found, ProbeSpans { encode_ns, probe_ns, decode_ns: 0 }))
@@ -510,37 +535,42 @@ impl<V: Value> Generation<V> {
         let new_idx = d.entries.len() as u32;
         d.entries.push(Entry::new(key.into(), value));
         let existing = d.index.get(bytes).copied();
-        let GenData { index, entries, slots, encs, live } = &mut *d;
+        let GenData { index, entries, heads, live } = &mut *d;
         let old = match existing {
             Some(slot_id) => {
-                let slot = &mut slots[slot_id as usize];
-                match slot.iter().position(|&ei| entries[ei as usize].key.as_ref() >= key) {
-                    Some(pos) if entries[slot[pos] as usize].key.as_ref() == key => {
-                        // Update: chain the new entry to the one it
-                        // supersedes (snapshot reads walk this), then
-                        // re-point the slot; the old log entry stays as
-                        // garbage for the swap replay to supersede.
-                        let old = entries[slot[pos] as usize].value.clone();
-                        entries[new_idx as usize].prev = slot[pos];
-                        slot[pos] = new_idx;
-                        Some(old)
-                    }
-                    Some(pos) => {
-                        slot.insert(pos, new_idx);
-                        *live += 1;
-                        None
-                    }
-                    None => {
-                        slot.push(new_idx);
-                        *live += 1;
-                        None
-                    }
+                // Walk the tie chain to the first live entry >= key,
+                // remembering the entry that links to it (NO_PREV: the
+                // slot head does).
+                let mut pred = NO_PREV;
+                let mut at = heads[slot_id as usize];
+                while at != NO_PREV && entries[at as usize].key.as_ref() < key {
+                    pred = at;
+                    at = entries[at as usize].tie;
                 }
+                let old = if at != NO_PREV && entries[at as usize].key.as_ref() == key {
+                    // Update: the new entry takes `at`'s place in the
+                    // tie chain and chains back to it through `prev`
+                    // (snapshot reads walk this); the old log entry stays
+                    // as garbage for the swap replay to supersede.
+                    let (old, tie) = (entries[at as usize].value.clone(), entries[at as usize].tie);
+                    let e = &mut entries[new_idx as usize];
+                    e.prev = at;
+                    e.tie = tie;
+                    Some(old)
+                } else {
+                    entries[new_idx as usize].tie = at;
+                    *live += 1;
+                    None
+                };
+                match pred {
+                    NO_PREV => heads[slot_id as usize] = new_idx,
+                    p => entries[p as usize].tie = new_idx,
+                }
+                old
             }
             None => {
-                slots.push(vec![new_idx]);
-                index.insert(bytes, (slots.len() - 1) as SlotId);
-                encs.push(bytes.into());
+                heads.push(new_idx);
+                index.insert(bytes, (heads.len() - 1) as SlotId);
                 *live += 1;
                 None
             }
@@ -626,9 +656,9 @@ impl<V: Value> Generation<V> {
     /// scratch buffers. With `at` set, every candidate entry resolves
     /// through its version chain first ([`Generation::get_at`]), so the
     /// scan observes exactly the state at that log watermark — slots and
-    /// versions born later are invisible. (Index and slot growth happen
-    /// under the data lock this scan reads under, so the watermark is
-    /// never torn.)
+    /// versions born later are invisible. (Index and tie-chain changes
+    /// happen under the data lock this scan reads under, so the watermark
+    /// is never torn.)
     ///
     /// Boundary slots may mix keys inside and outside the source range
     /// (padded-byte ties), so a slot-limited query can come up short after
@@ -676,7 +706,7 @@ impl<V: Value> Generation<V> {
                 // non-final fetch's last slot is checked conservatively.
                 let abs = done + j;
                 let boundary = abs == 0 || abs + 1 == slot_ids.len();
-                for &ei in &d.slots[*sid as usize] {
+                for (ei, _) in tie_chain(&d.entries, d.heads[*sid as usize]) {
                     let Some(e) = visible_at(&d.entries, ei, at) else { continue };
                     if boundary {
                         let past_resume = match after {
@@ -707,19 +737,19 @@ impl<V: Value> Generation<V> {
     /// per live entry, the encoded padded byte string it is indexed under
     /// (entries in the same slot share bytes) — the input of a merge
     /// rebuild, which splices these encodings verbatim for keys the
-    /// dictionary diff proved unchanged.
+    /// dictionary diff proved unchanged. One sorted index visit yields
+    /// both: each slot's bytes come from the index, its entries from the
+    /// tie chain.
     pub(crate) fn snapshot_live_encoded(&self) -> LiveEncoded<V> {
         let d = self.read();
-        let mut slot_ids: Vec<SlotId> = Vec::with_capacity(d.slots.len());
-        d.index.scan_into(&[], usize::MAX, &mut slot_ids);
         let mut live = Vec::with_capacity(d.live);
         let mut encs = Vec::with_capacity(d.live);
-        for sid in slot_ids {
-            for &ei in &d.slots[sid as usize] {
-                live.push(d.entries[ei as usize].clone());
-                encs.push(d.encs[sid as usize].clone());
+        d.index.for_each(&mut |bytes, &sid| {
+            for (_, e) in tie_chain(&d.entries, d.heads[sid as usize]) {
+                live.push(e.clone());
+                encs.push(Box::from(bytes));
             }
-        }
+        });
         (live, encs, d.entries.len())
     }
 
@@ -729,7 +759,12 @@ impl<V: Value> Generation<V> {
     /// same scale.
     pub(crate) fn encoded_live_bytes(&self) -> u64 {
         let d = self.read();
-        d.slots.iter().zip(&d.encs).map(|(slot, enc)| slot.len() as u64 * enc.len() as u64).sum()
+        let mut total = 0u64;
+        d.index.for_each(&mut |bytes, &sid| {
+            let ties = tie_chain(&d.entries, d.heads[sid as usize]).count() as u64;
+            total += ties * bytes.len() as u64;
+        });
+        total
     }
 
     /// Clone of the log entries appended after `watermark`, in order.
@@ -839,10 +874,14 @@ mod tests {
         let g = build_gen(&[("b", 2), ("a", 1)]);
         g.insert(b"c", 3).unwrap();
         g.insert(b"a", 10).unwrap();
-        let (live, _, _) = g.snapshot_live_encoded();
+        let (live, encs, _) = g.snapshot_live_encoded();
         let keys: Vec<&[u8]> = live.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
         assert_eq!(live[0].value, 10, "snapshot must carry the updated value");
+        // The encodings read back out of the index are each key's own.
+        for (e, enc) in live.iter().zip(&encs) {
+            assert_eq!(enc.as_ref(), g.hope().encode(&e.key).as_bytes(), "{:?}", e.key);
+        }
     }
 
     #[test]

@@ -90,11 +90,15 @@ use generation::Entry;
 use shard::{Shard, ShardTelemetry};
 use telemetry::{Event, EventKind, ProbeSpans, Telemetry, TelemetrySnapshot};
 
-/// The value type every shard *index* stores: an id into the shard's slot
-/// table. The index is always slot-id-valued regardless of the store's
-/// payload type `V` — exactness under padded-byte ties requires the
-/// indirection (see DESIGN.md, "The serving layer") — so a
-/// custom [`Backend`] factory produces `OrderedIndex<SlotId>` instances.
+/// The value type every shard *index* stores: a slot id, naming one
+/// padded byte string and, through the shard's slot heads, the live
+/// entries indexed under it. The index is always slot-id-valued
+/// regardless of the store's payload type `V` — exactness under
+/// padded-byte ties requires the indirection (see DESIGN.md,
+/// "Encoded-key comparison") — so a custom [`Backend`] factory produces
+/// `OrderedIndex<SlotId>` instances. The index is also the only copy of
+/// the encoded keys: a rebuild reads them back with
+/// [`OrderedIndex::for_each`].
 pub type SlotId = u64;
 
 /// Factory for a user-supplied shard index ([`Backend::Custom`]).
@@ -736,9 +740,10 @@ impl<V: Value> HopeStore<V> {
         Arc::clone(&self.telemetry)
     }
 
-    /// Publish the derived per-shard and codec gauges into the registry.
-    /// Ratios are exported in milli-units (`×1000`, truncated) — the
-    /// registry is integer-valued by design.
+    /// Publish the derived per-shard gauges and the codec counters into
+    /// the registry. Ratios are exported in milli-units (`×1000`,
+    /// truncated) — the registry is integer-valued by design. The codec
+    /// path counts are monotonic totals, so they export as counters.
     fn refresh_gauges(&self) {
         let reg = self.telemetry.registry();
         let mut codec = hope::CodecStats::default();
@@ -766,11 +771,12 @@ impl<V: Value> HopeStore<V> {
             codec.fast_decode_keys += cs.fast_decode_keys;
             codec.walk_decode_keys += cs.walk_decode_keys;
         }
-        reg.gauge("store.codec.fast_encode_keys").set(codec.fast_encode_keys);
-        reg.gauge("store.codec.generic_encode_keys").set(codec.generic_encode_keys);
-        reg.gauge("store.codec.automaton_fallback_takes").set(codec.automaton_fallback_takes);
-        reg.gauge("store.codec.fast_decode_keys").set(codec.fast_decode_keys);
-        reg.gauge("store.codec.walk_decode_keys").set(codec.walk_decode_keys);
+        reg.counter("store.codec.fast_encode_keys").raise_to(codec.fast_encode_keys);
+        reg.counter("store.codec.generic_encode_keys").raise_to(codec.generic_encode_keys);
+        reg.counter("store.codec.automaton_fallback_takes")
+            .raise_to(codec.automaton_fallback_takes);
+        reg.counter("store.codec.fast_decode_keys").raise_to(codec.fast_decode_keys);
+        reg.counter("store.codec.walk_decode_keys").raise_to(codec.walk_decode_keys);
     }
 
     /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —

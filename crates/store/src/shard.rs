@@ -250,11 +250,13 @@ impl<V: Value> Shard<V> {
 
     /// Codec path counters: the live generation's compressor plus
     /// everything accumulated from superseded generations at swap time.
-    /// (Readers still draining on a superseded generation after the flip
-    /// may contribute a handful of uncounted probes — the totals are
-    /// observability, not accounting.)
+    /// The `retired` lock is held across reading the live generation,
+    /// and a swap folds and flips under that same lock, so a superseded
+    /// generation is never counted both ways. (Readers still draining on
+    /// a superseded generation after the flip may contribute a handful of
+    /// uncounted probes — the totals are observability, not accounting.)
     pub(crate) fn codec_stats(&self) -> CodecStats {
-        let retired = *lock(&self.retired);
+        let retired = lock(&self.retired);
         let live = self.current().hope().codec_stats();
         CodecStats {
             fast_encode_keys: retired.fast_encode_keys + live.fast_encode_keys,
@@ -513,17 +515,18 @@ impl<V: Value> Shard<V> {
         };
         let dict_bytes = next.hope().dict_memory_bytes();
         // The old generation's codec counters die with its `Arc`; fold
-        // them into the retired total before the flip retires it.
-        let old_codec = old.hope().codec_stats();
+        // them into the retired total and flip under one `retired` lock
+        // (see `codec_stats`).
         {
             let mut retired = lock(&self.retired);
+            let old_codec = old.hope().codec_stats();
             retired.fast_encode_keys += old_codec.fast_encode_keys;
             retired.generic_encode_keys += old_codec.generic_encode_keys;
             retired.automaton_fallback_takes += old_codec.automaton_fallback_takes;
             retired.fast_decode_keys += old_codec.fast_decode_keys;
             retired.walk_decode_keys += old_codec.walk_decode_keys;
+            *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         }
-        *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
         self.obs_src.store(0, Ordering::Relaxed);
         self.obs_enc.store(0, Ordering::Relaxed);
         lock(&self.reservoir).reset();

@@ -77,6 +77,15 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raise the counter to `total` if it is below it: exports a running
+    /// total that is computed elsewhere. Never lowers the counter, so two
+    /// refreshes racing with totals read at different instants cannot
+    /// make it step back or count anything twice.
+    #[inline]
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -62,7 +62,7 @@ fn main() {
     for name in ["fast_encode_keys", "generic_encode_keys", "automaton_fallback_takes"] {
         println!(
             "  store.codec.{name} = {}",
-            snap.gauge(&format!("store.codec.{name}")).unwrap_or(0)
+            snap.counter(&format!("store.codec.{name}")).unwrap_or(0)
         );
     }
 

@@ -87,13 +87,68 @@ fn struct_payloads_serve_through_the_visitor_and_maintenance() {
     assert_eq!(store.get(b"XQ#13!!zw|d").unwrap(), Some(doc(13, 9)));
 }
 
+/// A user-defined ordered index: a sorted vector of `(key, slot id)`
+/// pairs, implementing the whole `OrderedIndex` contract itself.
+#[derive(Debug, Default)]
+struct SortedVecIndex {
+    pairs: Vec<(Vec<u8>, SlotId)>,
+}
+
+impl SortedVecIndex {
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        self.pairs.partition_point(|(k, _)| k.as_slice() < key)
+    }
+}
+
+impl hope::OrderedIndex<SlotId> for SortedVecIndex {
+    fn get(&self, key: &[u8]) -> Option<&SlotId> {
+        self.pairs.get(self.lower_bound(key)).filter(|(k, _)| k.as_slice() == key).map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, key: &[u8], value: SlotId) -> Option<SlotId> {
+        let i = self.lower_bound(key);
+        match self.pairs.get_mut(i) {
+            Some((k, v)) if k.as_slice() == key => Some(std::mem::replace(v, value)),
+            _ => {
+                self.pairs.insert(i, (key.to_vec(), value));
+                None
+            }
+        }
+    }
+
+    fn scan_into(&self, start: &[u8], count: usize, out: &mut Vec<SlotId>) {
+        out.extend(self.pairs[self.lower_bound(start)..].iter().take(count).map(|(_, v)| *v));
+    }
+
+    fn range_into(&self, low: &[u8], high: &[u8], limit: usize, out: &mut Vec<SlotId>) {
+        let hits =
+            self.pairs[self.lower_bound(low)..].iter().take_while(|(k, _)| k.as_slice() <= high);
+        out.extend(hits.take(limit).map(|(_, v)| *v));
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[u8], &SlotId)) {
+        for (k, v) in &self.pairs {
+            f(k, v);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.pairs.capacity() * std::mem::size_of::<(Vec<u8>, SlotId)>()
+            + self.pairs.iter().map(|(k, _)| k.capacity()).sum::<usize>()
+    }
+}
+
 /// A user-supplied index through the `Backend::Custom` factory hook: the
 /// store's shards index slot ids (`SlotId`) in whatever structure the
-/// factory returns.
+/// factory returns — here a type defined outside the workspace crates.
 #[test]
 fn custom_index_factory_plugs_into_the_store() {
     fn shadow_index() -> Box<dyn hope::OrderedIndex<SlotId>> {
-        Box::<BTreeMap<Vec<u8>, SlotId>>::default()
+        Box::<SortedVecIndex>::default()
     }
     let cfg = StoreConfig { backend: Backend::Custom(shadow_index), ..StoreConfig::default() };
     let store: HopeStore<Vec<u8>> = HopeStore::build(
@@ -105,9 +160,15 @@ fn custom_index_factory_plugs_into_the_store() {
     let mut out = Vec::new();
     store.range_into(b"user0100", b"user0104", 10, &mut out).unwrap();
     assert_eq!(out.len(), 5);
-    // Swaps build fresh indexes through the same factory.
-    store.force_rebuild(0).unwrap();
-    assert_eq!(store.get(b"user0123").unwrap(), Some(vec![123]));
+    // Swaps build fresh indexes through the same factory, and read the
+    // old generation's encodings back through its `for_each`.
+    store.insert(b"user0123".to_vec(), vec![7]).unwrap();
+    for s in 0..store.config().shards {
+        store.force_rebuild(s).unwrap();
+    }
+    assert_eq!(store.get(b"user0123").unwrap(), Some(vec![7]));
+    assert_eq!(store.get(b"user0499").unwrap(), Some(vec![499u32 as u8]));
+    assert_eq!(store.len(), 500);
     // The config (with its factory) stays copyable/debuggable.
     let copied = *store.config();
     assert!(format!("{copied:?}").contains("Custom"));

@@ -314,3 +314,53 @@ fn store_snapshot_and_live_log_agree() {
     assert_eq!(snap.events_of(EventKind::SwapEnd).count(), 1);
     assert_eq!(snap.dropped_events, 0);
 }
+
+/// The codec path counts are monotonic totals: they export as
+/// Prometheus counters, a repeated refresh adds nothing, and a swap
+/// (which folds the old generation's counts into the retired total)
+/// never steps them back.
+#[test]
+fn codec_totals_export_as_monotonic_counters() {
+    let pairs = (0..400u64).map(|i| (format!("com.gmail@user{i:05}").into_bytes(), i));
+    let store =
+        HopeStore::build(StoreConfig { shards: 2, ..StoreConfig::default() }, pairs).unwrap();
+    let names = [
+        "store.codec.fast_encode_keys",
+        "store.codec.generic_encode_keys",
+        "store.codec.automaton_fallback_takes",
+        "store.codec.fast_decode_keys",
+        "store.codec.walk_decode_keys",
+    ];
+    let encoded = |snap: &hope_store::telemetry::TelemetrySnapshot| {
+        snap.counter(names[0]).unwrap() + snap.counter(names[1]).unwrap()
+    };
+    for k in 0..100u64 {
+        store.get(format!("com.gmail@user{k:05}").as_bytes()).unwrap();
+    }
+    let first = store.telemetry();
+    let prom = first.to_prometheus();
+    for name in names {
+        assert!(first.counter(name).is_some(), "{name} is not a counter");
+        assert!(first.gauge(name).is_none(), "{name} is still a gauge");
+        let prom_name = name.replace('.', "_");
+        assert!(prom.contains(&format!("# TYPE {prom_name} counter\n")), "{prom_name} in:\n{prom}");
+    }
+    // Refreshing without traffic changes nothing.
+    assert_eq!(encoded(&store.telemetry()), encoded(&first));
+    // A swap retires a generation: its counts move to the retired total
+    // (the rebuild's own encodes land on the new generation).
+    store.force_rebuild(0).unwrap();
+    store.force_rebuild(1).unwrap();
+    let swapped = encoded(&store.telemetry());
+    assert!(swapped >= encoded(&first), "swap stepped the total back: {swapped}");
+    // Encoders flush path counts once per 64 keys from a per-thread
+    // scratch, so a run of probes lands within one flush of its size.
+    for k in 0..1_000u64 {
+        store.get(format!("com.gmail@user{:05}", k % 400).as_bytes()).unwrap();
+    }
+    let after = encoded(&store.telemetry());
+    assert!(
+        after.abs_diff(swapped + 1_000) < 64,
+        "1000 probes moved the total {swapped} -> {after}"
+    );
+}
