@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hope_bench::harness::{
-    build_serving_store, flag_value, json_head, json_phase, phase_bounds, phase_ops_per_sec,
+    build_serving_store, json_head, json_phase, out_path, phase_bounds, phase_ops_per_sec,
     serving_config, to_request, PHASE_NAMES,
 };
 use hope_bench::BenchConfig;
@@ -67,7 +67,7 @@ const PRODUCERS: usize = 2;
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = flag_value(&cfg, "--out", "BENCH_serving.json");
+    let out = out_path(&cfg, "BENCH_serving");
     let ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(20) };
 
     println!(
@@ -164,8 +164,8 @@ fn main() {
          swap_in_shift={swap_in_shift} p99_ratio={p99_ratio:.2} pass={pass}"
     );
 
-    write_json(&out_path, &cfg, ops, &report, &wall_ns, swap_in_shift, p99_ratio, pass);
-    println!("# wrote {out_path} ({} maintainer swaps)", log.swaps.len());
+    write_json(&out, &cfg, ops, &report, &wall_ns, swap_in_shift, p99_ratio, pass);
+    println!("# wrote {out} ({} maintainer swaps)", log.swaps.len());
     println!("# fig18_serving_slo — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         if !exactly_once {

@@ -41,35 +41,18 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use hope_bench::harness::{out_path, to_request, PHASE_NAMES};
 use hope_bench::BenchConfig;
-use hope_store::serving::{Request, Server, ServingConfig};
+use hope_store::serving::{Server, ServingConfig};
 use hope_store::telemetry::{EventKind, TelemetrySnapshot};
 use hope_store::{HopeStore, StoreConfig, SwapReport};
-use hope_workloads::{MixedWorkload, StoreOp, TrafficSpec};
+use hope_workloads::{MixedWorkload, TrafficSpec};
 
 /// Every Nth request per worker runs the span-timed paths.
 const TRACE_EVERY: u32 = 64;
 
 /// Producer threads feeding the server (as in fig18).
 const PRODUCERS: usize = 2;
-
-const PHASE_NAMES: [&str; 3] = ["pre_shift", "shift", "post_shift"];
-
-fn flag_value(cfg: &BenchConfig, flag: &str, default: &str) -> String {
-    cfg.flags
-        .iter()
-        .position(|f| f == flag)
-        .and_then(|i| cfg.flags.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
-
-fn to_request(op: &StoreOp) -> Request {
-    match op {
-        StoreOp::Get(k) => Request::get(k.clone()),
-        StoreOp::Insert(k, v) => Request::insert(k.clone(), *v),
-        StoreOp::Scan(low, high, limit) => Request::scan(low.clone(), high.clone(), *limit),
-    }
-}
 
 /// One named boolean verdict, printed diff-style on failure.
 struct Check {
@@ -84,7 +67,7 @@ fn check(name: &'static str, ok: bool, detail: String) -> Check {
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = flag_value(&cfg, "--out", "BENCH_telemetry.json");
+    let out = out_path(&cfg, "BENCH_telemetry");
     let ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(20) };
 
     println!(
@@ -252,8 +235,8 @@ fn main() {
     let verdicts: Vec<String> = checks.iter().map(|c| format!("{}={}", c.name, c.ok)).collect();
     println!("DIGEST gates {} pass={pass}", verdicts.join(" "));
 
-    write_json(&out_path, &cfg, ops, swaps.len(), pass, snap);
-    println!("# wrote {out_path}");
+    write_json(&out, &cfg, ops, swaps.len(), pass, snap);
+    println!("# wrote {out}");
     println!("# fig19_telemetry — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         for c in checks.iter().filter(|c| !c.ok) {

@@ -47,7 +47,7 @@
 use std::time::Instant;
 
 use hope_bench::harness::{
-    build_serving_store, flag_value, phase_bounds, serving_config, to_request, PHASE_NAMES,
+    build_serving_store, out_path, phase_bounds, serving_config, to_request, PHASE_NAMES,
 };
 use hope_bench::BenchConfig;
 use hope_store::serving::{FaultPlan, LatencyHistogram, Server, ServingConfig, ServingReport};
@@ -157,7 +157,7 @@ fn run_pass(cfg: &BenchConfig, workload: &MixedWorkload, plan: Option<FaultPlan>
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = flag_value(&cfg, "--out", "BENCH_faults.json");
+    let out = out_path(&cfg, "BENCH_faults");
     let ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(20) };
 
     let plan = FaultPlan {
@@ -275,8 +275,8 @@ fn main() {
         faulted.healed,
     );
 
-    write_json(&out_path, &cfg, ops, &plan, &base, &faulted, p999_ratio, pass);
-    println!("# wrote {out_path}");
+    write_json(&out, &cfg, ops, &plan, &base, &faulted, p999_ratio, pass);
+    println!("# wrote {out}");
     println!("# fig20_fault_slo — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         if !p999_ok {

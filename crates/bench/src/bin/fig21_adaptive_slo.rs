@@ -45,7 +45,7 @@
 use std::time::Instant;
 
 use hope_bench::harness::{
-    build_serving_store, flag_value, json_head, phase_bounds, phase_ops_per_sec, serving_config,
+    build_serving_store, json_head, out_path, phase_bounds, phase_ops_per_sec, serving_config,
     to_request, PHASE_NAMES, SERVING_BATCH, SERVING_QUEUE_CAPACITY, SERVING_WORKERS,
 };
 use hope_bench::BenchConfig;
@@ -153,7 +153,7 @@ fn run_pass(
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = flag_value(&cfg, "--out", "BENCH_admission.json");
+    let out = out_path(&cfg, "BENCH_admission");
     let ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(20) };
 
     let ac = if cfg.quick {
@@ -324,7 +324,7 @@ fn main() {
     );
 
     write_json(&WriteArgs {
-        path: &out_path,
+        path: &out,
         cfg: &cfg,
         ops,
         plan: &plan,
@@ -341,7 +341,7 @@ fn main() {
         healthy_engages,
         pass,
     });
-    println!("# wrote {out_path}");
+    println!("# wrote {out}");
     println!("# fig21_adaptive_slo — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         if !engaged {

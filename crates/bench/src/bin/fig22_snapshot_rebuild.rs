@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hope_bench::harness::{
-    build_serving_store, flag_value, json_head, json_phase, phase_bounds, phase_ops_per_sec,
+    build_serving_store, json_head, json_phase, out_path, phase_bounds, phase_ops_per_sec,
     serving_config, to_request, PHASE_NAMES,
 };
 use hope_bench::BenchConfig;
@@ -342,7 +342,7 @@ fn run_serving(cfg: &BenchConfig, workload: &MixedWorkload) -> ServeOutcome {
 
 fn main() {
     let cfg = BenchConfig::from_args();
-    let out_path = flag_value(&cfg, "--out", "BENCH_snapshot.json");
+    let out = out_path(&cfg, "BENCH_snapshot");
     let ops = if cfg.quick { cfg.queries } else { cfg.queries.saturating_mul(10) };
     println!(
         "# fig22_snapshot_rebuild: {} initial keys, {} ops, seed {}, {} mode",
@@ -465,7 +465,7 @@ fn main() {
     );
 
     write_json(&WriteArgs {
-        path: &out_path,
+        path: &out,
         cfg: &cfg,
         ops,
         frozen: &frozen,
@@ -480,7 +480,7 @@ fn main() {
         dropped,
         pass,
     });
-    println!("# wrote {out_path}");
+    println!("# wrote {out}");
     println!("# fig22_snapshot_rebuild — {}", if pass { "PASS" } else { "FAIL" });
     if !pass {
         if !frozen_ok {

@@ -56,6 +56,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use hope::{DecodeScratch, EncodeScratch, EncodedKey, Hope, Scheme};
+use hope_bench::harness::out_path;
 use hope_bench::{build_hope, load_dataset, ns_per_op, time, BenchConfig};
 use hope_store::telemetry::TraceSampler;
 use hope_store::{HopeStore, StoreConfig};
@@ -498,12 +499,12 @@ fn decode_path_for(out: &str) -> String {
 
 /// The `(encode, decode)` output paths for this run (module docs).
 fn out_paths(cfg: &BenchConfig) -> (String, String) {
-    let suffix = if cfg.quick { ".quick.json" } else { ".json" };
-    let out = out_flag(cfg, "--out");
+    // `out_path` yields the quick/full default name when `--out` is absent,
+    // which is the only case the decode default is reached in.
     let decode = out_flag(cfg, "--out-decode")
-        .or_else(|| out.as_deref().map(decode_path_for))
-        .unwrap_or_else(|| format!("BENCH_decode{suffix}"));
-    (out.unwrap_or_else(|| format!("BENCH_encode{suffix}")), decode)
+        .or_else(|| out_flag(cfg, "--out").as_deref().map(decode_path_for))
+        .unwrap_or_else(|| out_path(cfg, "BENCH_decode"));
+    (out_path(cfg, "BENCH_encode"), decode)
 }
 
 fn main() {

@@ -40,6 +40,14 @@ pub fn flag_value(cfg: &BenchConfig, flag: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
+/// Where a drill writes its JSON artifact: `--out PATH` when given,
+/// else `{stem}.quick.json` under `--quick` and `{stem}.json` otherwise,
+/// so a smoke run never overwrites a committed full-size artifact.
+pub fn out_path(cfg: &BenchConfig, stem: &str) -> String {
+    let suffix = if cfg.quick { ".quick.json" } else { ".json" };
+    flag_value(cfg, "--out", &format!("{stem}{suffix}"))
+}
+
 /// Convert one workload op into a serving request.
 pub fn to_request(op: &StoreOp) -> Request {
     match op {
@@ -150,6 +158,18 @@ mod tests {
         assert_eq!(flag_value(&cfg, "--out", "X.json"), "X.json");
         cfg.flags = vec!["--out".into(), "Y.json".into()];
         assert_eq!(flag_value(&cfg, "--out", "X.json"), "Y.json");
+    }
+
+    #[test]
+    fn quick_runs_write_quick_artifacts_unless_out_is_given() {
+        let mut cfg = BenchConfig::default();
+        assert_eq!(out_path(&cfg, "BENCH_x"), "BENCH_x.json");
+        cfg.quick = true;
+        assert_eq!(out_path(&cfg, "BENCH_x"), "BENCH_x.quick.json");
+        cfg.flags = vec!["--out".into(), "r/run.json".into()];
+        assert_eq!(out_path(&cfg, "BENCH_x"), "r/run.json");
+        cfg.quick = false;
+        assert_eq!(out_path(&cfg, "BENCH_x"), "r/run.json");
     }
 
     #[test]

@@ -129,6 +129,29 @@ pub struct CodecStats {
     pub walk_decode_keys: u64,
 }
 
+/// Field-wise sum, for totals over several codecs (shards, or the
+/// generations a shard has retired).
+impl std::ops::AddAssign for CodecStats {
+    /// ```
+    /// use hope::CodecStats;
+    ///
+    /// let none = CodecStats::default();
+    /// let mut total = CodecStats { fast_encode_keys: 3, walk_decode_keys: 1, ..none };
+    /// total += CodecStats { fast_encode_keys: 2, generic_encode_keys: 5, ..none };
+    /// assert_eq!(
+    ///     total,
+    ///     CodecStats { fast_encode_keys: 5, generic_encode_keys: 5, walk_decode_keys: 1, ..none }
+    /// );
+    /// ```
+    fn add_assign(&mut self, rhs: CodecStats) {
+        self.fast_encode_keys += rhs.fast_encode_keys;
+        self.generic_encode_keys += rhs.generic_encode_keys;
+        self.automaton_fallback_takes += rhs.automaton_fallback_takes;
+        self.fast_decode_keys += rhs.fast_decode_keys;
+        self.walk_decode_keys += rhs.walk_decode_keys;
+    }
+}
+
 /// Configuration for building a [`Hope`] encoder.
 #[derive(Debug, Clone)]
 pub struct HopeBuilder {

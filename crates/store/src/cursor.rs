@@ -43,7 +43,7 @@ use hope::Value;
 use crate::error::StoreError;
 use crate::generation::Generation;
 use crate::versioned::Snapshot;
-use crate::HopeStore;
+use crate::{route, HopeStore};
 
 /// Hits fetched per pull-mode chunk: large enough to amortize the
 /// per-chunk bound re-encode and index descent, small enough to keep
@@ -55,21 +55,12 @@ const CHUNK: usize = 256;
 /// [`Snapshot`], whose generations and watermarks were all pinned at
 /// capture time.
 #[derive(Debug, Clone, Copy)]
-enum Source<'a, V: Value> {
+pub(crate) enum Source<'a, V: Value> {
     Live(&'a HopeStore<V>),
     Snap(&'a Snapshot<V>),
 }
 
 impl<'a, V: Value> Source<'a, V> {
-    /// Shard index responsible for `key` (both variants route on the
-    /// same immutable split points).
-    fn route(&self, key: &[u8]) -> usize {
-        match self {
-            Source::Live(store) => store.route(key),
-            Source::Snap(snap) => snap.route(key),
-        }
-    }
-
     /// Pin `shard` for reading: its generation plus the point-in-time
     /// watermark to read at (`None` = latest, the live store's view).
     fn pin(&self, shard: usize) -> (Arc<Generation<V>>, Option<usize>) {
@@ -123,29 +114,18 @@ pub struct RangeCursor<'a, V: Value = u64> {
 }
 
 impl<'a, V: Value> RangeCursor<'a, V> {
+    /// A cursor over `source`, whose shards are split at `boundaries`
+    /// ([`HopeStore::cursor`], [`Snapshot::cursor`]).
     pub(crate) fn new(
-        store: &'a HopeStore<V>,
+        source: Source<'a, V>,
+        boundaries: &[Vec<u8>],
         low: &[u8],
         high: &[u8],
         limit: usize,
     ) -> RangeCursor<'a, V> {
-        Self::over(Source::Live(store), low, high, limit)
-    }
-
-    /// A cursor reading a snapshot's point in time ([`Snapshot::cursor`]).
-    pub(crate) fn new_snap(
-        snap: &'a Snapshot<V>,
-        low: &[u8],
-        high: &[u8],
-        limit: usize,
-    ) -> RangeCursor<'a, V> {
-        Self::over(Source::Snap(snap), low, high, limit)
-    }
-
-    fn over(source: Source<'a, V>, low: &[u8], high: &[u8], limit: usize) -> RangeCursor<'a, V> {
         let empty = low > high || limit == 0;
         let (shard, shard_end) =
-            if empty { (1, 0) } else { (source.route(low), source.route(high)) };
+            if empty { (1, 0) } else { (route(boundaries, low), route(boundaries, high)) };
         RangeCursor {
             source,
             low: low.to_vec(),
@@ -372,40 +352,11 @@ impl<'a, V: Value> RangeCursor<'a, V> {
 /// The cursor's push engine over **borrowed** bounds: what a fresh
 /// cursor's [`RangeCursor::for_each`] does, without the cursor object's
 /// owned-bounds copies. [`HopeStore::range_with`] and
-/// [`HopeStore::range_into`] call this directly so the visitor scan stays
+/// [`Snapshot::range_with`] call this directly so the visitor scan stays
 /// allocation-free end to end (the probe thread-locals carry all scratch).
-pub(crate) fn push_scan<V, F>(
-    store: &HopeStore<V>,
-    low: &[u8],
-    high: &[u8],
-    limit: usize,
-    f: F,
-) -> Result<usize, StoreError>
-where
-    V: Value,
-    F: FnMut(&[u8], &V),
-{
-    scan(Source::Live(store), low, high, limit, f)
-}
-
-/// [`push_scan`]'s point-in-time twin: the engine behind
-/// [`Snapshot::range_with`] and [`Snapshot::range_into`].
-pub(crate) fn snap_scan<V, F>(
-    snap: &Snapshot<V>,
-    low: &[u8],
-    high: &[u8],
-    limit: usize,
-    f: F,
-) -> Result<usize, StoreError>
-where
-    V: Value,
-    F: FnMut(&[u8], &V),
-{
-    scan(Source::Snap(snap), low, high, limit, f)
-}
-
-fn scan<V, F>(
+pub(crate) fn scan<V, F>(
     source: Source<'_, V>,
+    boundaries: &[Vec<u8>],
     low: &[u8],
     high: &[u8],
     limit: usize,
@@ -418,7 +369,7 @@ where
     if low > high || limit == 0 {
         return Ok(0);
     }
-    let (s0, s1) = (source.route(low), source.route(high));
+    let (s0, s1) = (route(boundaries, low), route(boundaries, high));
     let mut emitted = 0usize;
     for shard in s0..=s1 {
         if emitted == limit {

@@ -35,12 +35,11 @@
 
 use std::cell::RefCell;
 use std::sync::{PoisonError, RwLock};
-use std::time::Instant;
 
 use hope::{EncodeScratch, Hope, OrderedIndex, Value};
 
 use crate::error::StoreError;
-use crate::telemetry::ProbeSpans;
+use crate::telemetry::{Stage, StageClock};
 use crate::SlotId;
 
 thread_local! {
@@ -403,70 +402,50 @@ impl<V: Value> Generation<V> {
         key: &[u8],
         f: impl FnOnce(&V) -> R,
     ) -> Result<Option<R>, StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let enc = self.hope.encode_to(key, scratch)?;
-            let d = self.read();
-            let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            let found = tie_chain(&d.entries, d.heads[slot as usize])
-                .find(|(_, e)| e.key.as_ref() == key)
-                .map(|(_, e)| f(&e.value));
-            Ok(found)
-        })
+        self.lookup(key, None, &mut (), f)
     }
 
-    /// Point-in-time point lookup: the value `key` had when the log
-    /// stood at `watermark` entries — the read primitive behind
-    /// [`Snapshot`](crate::versioned::Snapshot). Resolves the key's live
-    /// entry (found along the slot's tie chain) through its version
-    /// chain (see [`Entry::prev`]): entries appended at or after the
-    /// watermark are invisible, and a key whose whole chain postdates the
-    /// watermark did not exist then.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the probe key fails codec validation.
+    /// The value `key` had when the log stood at `watermark` entries —
+    /// the read primitive behind [`Snapshot`](crate::versioned::Snapshot).
     pub(crate) fn get_at(&self, key: &[u8], watermark: usize) -> Result<Option<V>, StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let enc = self.hope.encode_to(key, scratch)?;
-            let d = self.read();
-            let Some(&slot) = d.index.get(enc) else { return Ok(None) };
-            let found = tie_chain(&d.entries, d.heads[slot as usize])
-                .find(|(_, e)| e.key.as_ref() == key)
-                .and_then(|(ei, _)| visible_at(&d.entries, ei, Some(watermark)))
-                .map(|e| e.value.clone());
-            Ok(found)
-        })
+        self.lookup(key, Some(watermark), &mut (), V::clone)
     }
 
-    /// [`Generation::get`] with per-stage span timing (encode vs probe),
-    /// for the serving layer's sampled request tracing. Identical
-    /// semantics; the extra `Instant` reads are why the untraced path
-    /// stays a separate function.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the probe key fails codec validation.
-    pub(crate) fn get_spanned(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
+    /// The one point-lookup path: encode the probe key, find the key's
+    /// live entry along its slot's tie chain, resolve that entry at log
+    /// watermark `at` (`None` = live; see [`Entry::prev`]), and run `f` on
+    /// the value under the read lock. `clock` laps encode, then probe.
+    pub(crate) fn lookup<R>(
+        &self,
+        key: &[u8],
+        at: Option<usize>,
+        clock: &mut impl StageClock,
+        f: impl FnOnce(&V) -> R,
+    ) -> Result<Option<R>, StoreError> {
         SCRATCH.with_borrow_mut(|scratch| {
-            let t0 = Instant::now();
+            clock.start();
             let enc = self.hope.encode_to(key, scratch)?;
-            let encode_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
+            clock.lap(Stage::Encode);
             let d = self.read();
-            let found = d.index.get(enc).and_then(|&slot| {
-                tie_chain(&d.entries, d.heads[slot as usize])
-                    .find(|(_, e)| e.key.as_ref() == key)
-                    .map(|(_, e)| e.value.clone())
-            });
-            let probe_ns = t1.elapsed().as_nanos() as u64;
-            Ok((found, ProbeSpans { encode_ns, probe_ns, decode_ns: 0 }))
+            let found = d
+                .index
+                .get(enc)
+                .and_then(|&slot| {
+                    tie_chain(&d.entries, d.heads[slot as usize])
+                        .find(|(_, e)| e.key.as_ref() == key)
+                })
+                .and_then(|(ei, _)| visible_at(&d.entries, ei, at))
+                .map(|e| f(&e.value));
+            clock.lap(Stage::Probe);
+            Ok(found)
         })
     }
 
     /// Insert or update; returns the previous value (if any) and the
     /// encode footprint for drift accounting. Encoding happens into a
-    /// thread-local scratch before the data lock is taken; the index's own
-    /// `insert` copies the bytes it keeps.
+    /// thread-local scratch before the data lock is taken; the index's
+    /// own `insert` copies the bytes it keeps. `clock` laps encode, then
+    /// the index/log mutation as probe.
     ///
     /// # Errors
     ///
@@ -477,33 +456,15 @@ impl<V: Value> Generation<V> {
         &self,
         key: &[u8],
         value: V,
+        clock: &mut impl StageClock,
     ) -> Result<(Option<V>, EncodeFootprint), StoreError> {
         SCRATCH.with_borrow_mut(|scratch| {
+            clock.start();
             let bytes = self.hope.encode_to(key, scratch)?;
-            self.apply_insert(key, value, bytes)
-        })
-    }
-
-    /// [`Generation::insert`] with per-stage span timing (encode vs the
-    /// index/log mutation, reported as the probe span).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Codec`] when the key fails codec validation, or
-    /// [`StoreError::WriteLogFull`] when the log is at capacity.
-    pub(crate) fn insert_spanned(
-        &self,
-        key: &[u8],
-        value: V,
-    ) -> Result<(Option<V>, EncodeFootprint, ProbeSpans), StoreError> {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let t0 = Instant::now();
-            let bytes = self.hope.encode_to(key, scratch)?;
-            let encode_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = Instant::now();
-            let (old, footprint) = self.apply_insert(key, value, bytes)?;
-            let probe_ns = t1.elapsed().as_nanos() as u64;
-            Ok((old, footprint, ProbeSpans { encode_ns, probe_ns, decode_ns: 0 }))
+            clock.lap(Stage::Encode);
+            let inserted = self.apply_insert(key, value, bytes);
+            clock.lap(Stage::Probe);
+            inserted
         })
     }
 
@@ -815,8 +776,8 @@ mod tests {
     fn insert_update_and_log_replay_watermark() {
         let g = build_gen(&[("com.gmail@a", 1)]);
         let (_, _, w0) = g.snapshot_live_encoded();
-        assert_eq!(g.insert(b"com.gmail@b", 2).unwrap().0, None);
-        assert_eq!(g.insert(b"com.gmail@a", 9).unwrap().0, Some(1));
+        assert_eq!(g.insert(b"com.gmail@b", 2, &mut ()).unwrap().0, None);
+        assert_eq!(g.insert(b"com.gmail@a", 9, &mut ()).unwrap().0, Some(1));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(9));
         assert_eq!(g.len(), 2);
         // The log after the watermark replays both mutations in order.
@@ -872,8 +833,8 @@ mod tests {
     #[test]
     fn snapshot_live_is_sorted_and_deduplicated() {
         let g = build_gen(&[("b", 2), ("a", 1)]);
-        g.insert(b"c", 3).unwrap();
-        g.insert(b"a", 10).unwrap();
+        g.insert(b"c", 3, &mut ()).unwrap();
+        g.insert(b"a", 10, &mut ()).unwrap();
         let (live, encs, _) = g.snapshot_live_encoded();
         let keys: Vec<&[u8]> = live.iter().map(|e| e.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c"]);
@@ -888,27 +849,30 @@ mod tests {
     fn write_log_capacity_back_pressures_instead_of_panicking() {
         let g = build_gen(&[("com.gmail@a", 1)]).with_context(3, 3);
         // Entry 0 is the bulk load; two appends fit under the cap of 3.
-        assert!(g.insert(b"com.gmail@b", 2).is_ok());
-        assert!(g.insert(b"com.gmail@c", 3).is_ok());
-        let err = g.insert(b"com.gmail@d", 4).unwrap_err();
+        assert!(g.insert(b"com.gmail@b", 2, &mut ()).is_ok());
+        assert!(g.insert(b"com.gmail@c", 3, &mut ()).is_ok());
+        let err = g.insert(b"com.gmail@d", 4, &mut ()).unwrap_err();
         assert!(matches!(err, StoreError::WriteLogFull { shard: 3, capacity: 3 }), "got {err:?}");
         // The rejected insert left the generation fully serviceable.
         assert_eq!(g.len(), 3);
         assert_eq!(g.get(b"com.gmail@c").unwrap(), Some(3));
         assert_eq!(g.get(b"com.gmail@d").unwrap(), None);
         // Updates are appends too: same back-pressure.
-        assert!(matches!(g.insert(b"com.gmail@a", 9), Err(StoreError::WriteLogFull { .. })));
+        assert!(matches!(
+            g.insert(b"com.gmail@a", 9, &mut ()),
+            Err(StoreError::WriteLogFull { .. })
+        ));
         assert_eq!(g.get(b"com.gmail@a").unwrap(), Some(1));
     }
 
     #[test]
     fn watermark_reads_observe_the_point_in_time_state() {
         let g = build_gen(&[("a", 1), ("c", 3)]);
-        g.insert(b"a", 10).unwrap();
+        g.insert(b"a", 10, &mut ()).unwrap();
         let (_, _, w) = g.snapshot_live_encoded();
         // Post-watermark: update a again, add a new key between a and c.
-        g.insert(b"a", 100).unwrap();
-        g.insert(b"b", 2).unwrap();
+        g.insert(b"a", 100, &mut ()).unwrap();
+        g.insert(b"b", 2, &mut ()).unwrap();
 
         assert_eq!(g.get_at(b"a", w).unwrap(), Some(10), "chain resolves to the pre-W version");
         assert_eq!(g.get_at(b"b", w).unwrap(), None, "key born after W is invisible");
@@ -964,7 +928,7 @@ mod tests {
         ];
         let g: Generation<Vec<u8>> = Generation::build(1, hope, 1.0, index, pairs, 4);
         assert_eq!(g.get(b"k2").unwrap(), Some(b"two".to_vec()));
-        assert_eq!(g.insert(b"k1", b"uno".to_vec()).unwrap().0, Some(b"one".to_vec()));
+        assert_eq!(g.insert(b"k1", b"uno".to_vec(), &mut ()).unwrap().0, Some(b"one".to_vec()));
         assert_eq!(g.get_with(b"k1", |v| v.len()).unwrap(), Some(3));
     }
 }

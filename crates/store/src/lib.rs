@@ -85,10 +85,13 @@ pub use error::StoreError;
 pub use generation::Generation;
 pub use versioned::Snapshot;
 
+use cursor::Source;
 use error::validate_key;
 use generation::Entry;
 use shard::{Shard, ShardTelemetry};
-use telemetry::{Event, EventKind, ProbeSpans, Telemetry, TelemetrySnapshot};
+use telemetry::{
+    Event, EventKind, ProbeSpans, SpanClock, StageClock, Telemetry, TelemetrySnapshot,
+};
 
 /// The value type every shard *index* stores: a slot id, naming one
 /// padded byte string and, through the shard's slot heads, the live
@@ -271,12 +274,19 @@ pub struct ShardReport {
 #[derive(Debug)]
 pub struct HopeStore<V: Value = u64> {
     cfg: StoreConfig,
-    /// Source-form split points, `boundaries.len() == shards - 1`; shard
-    /// `i` holds keys in `[boundaries[i-1], boundaries[i])`.
-    boundaries: Vec<Vec<u8>>,
+    /// Source-form split points (see [`route`]), immutable for the
+    /// store's lifetime and shared with every [`Snapshot`].
+    boundaries: Arc<[Vec<u8>]>,
     shards: Vec<Shard<V>>,
     epoch_counter: AtomicU64,
     telemetry: Arc<Telemetry>,
+}
+
+/// Shard index responsible for `key` — the store's one routing rule.
+/// `boundaries.len() == shards - 1`, and shard `i` holds keys in
+/// `[boundaries[i-1], boundaries[i])`.
+pub(crate) fn route(boundaries: &[Vec<u8>], key: &[u8]) -> usize {
+    boundaries.partition_point(|b| b.as_slice() <= key)
 }
 
 /// Fallback dictionary sample when a shard has no traffic and no resident
@@ -337,7 +347,7 @@ impl<V: Value> HopeStore<V> {
 
         // Split points at the quantiles of the (encoded) sort order.
         let n = sorted.len();
-        let boundaries: Vec<Vec<u8>> = (1..cfg.shards)
+        let boundaries: Arc<[Vec<u8>]> = (1..cfg.shards)
             .map(|i| {
                 if n == 0 {
                     // No data to learn a split from: divide the byte space.
@@ -412,11 +422,6 @@ impl<V: Value> HopeStore<V> {
         &self.cfg
     }
 
-    /// Shard index responsible for `key`.
-    pub(crate) fn route(&self, key: &[u8]) -> usize {
-        self.boundaries.partition_point(|b| b.as_slice() <= key)
-    }
-
     /// The shard structure itself (cursor internals).
     pub(crate) fn shard_ref(&self, shard: usize) -> &Shard<V> {
         &self.shards[shard]
@@ -424,7 +429,7 @@ impl<V: Value> HopeStore<V> {
 
     /// Which shard serves `key` (diagnostics; routing is internal).
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        self.route(key)
+        route(&self.boundaries, key)
     }
 
     /// Epoch handle of one shard's current generation (diagnostics: lets
@@ -447,7 +452,7 @@ impl<V: Value> HopeStore<V> {
     ///
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
-        self.shards[self.route(key)].get(key)
+        self.lookup(key, &mut (), V::clone)
     }
 
     /// Zero-clone point lookup: run `f` on a borrow of the stored value
@@ -461,7 +466,19 @@ impl<V: Value> HopeStore<V> {
         key: &[u8],
         f: impl FnOnce(&V) -> R,
     ) -> Result<Option<R>, StoreError> {
-        self.shards[self.route(key)].get_with(key, f)
+        self.lookup(key, &mut (), f)
+    }
+
+    /// The one point-lookup path behind `get`, `get_with`, `get_traced`
+    /// and the serving workers: route, pin the shard's generation, and
+    /// look `key` up there with `clock` timing encode and probe.
+    pub(crate) fn lookup<R>(
+        &self,
+        key: &[u8],
+        clock: &mut impl StageClock,
+        f: impl FnOnce(&V) -> R,
+    ) -> Result<Option<R>, StoreError> {
+        self.shards[self.shard_of(key)].current().lookup(key, None, clock, f)
     }
 
     /// Insert or update; returns the previous value if the key existed.
@@ -471,9 +488,19 @@ impl<V: Value> HopeStore<V> {
     /// [`StoreError::Codec`] when the key fails validation
     /// ([`HopeError::KeyTooLong`]); the store is unchanged in that case.
     pub fn insert(&self, key: Vec<u8>, value: V) -> Result<Option<V>, StoreError> {
-        // No up-front validation: the generation's `encode_to` call
-        // validates the key before anything is mutated.
-        self.shards[self.route(&key)].insert(&key, value)
+        self.put(&key, value, &mut ())
+    }
+
+    /// The one insert path behind `insert`, `insert_traced` and the
+    /// serving workers. No up-front validation: the generation's
+    /// `encode_to` call validates the key before anything is mutated.
+    pub(crate) fn put(
+        &self,
+        key: &[u8],
+        value: V,
+        clock: &mut impl StageClock,
+    ) -> Result<Option<V>, StoreError> {
+        self.shards[self.shard_of(key)].insert(key, value, clock)
     }
 
     /// Open a lazy [`RangeCursor`] over `low..=high` (inclusive), capped
@@ -492,7 +519,7 @@ impl<V: Value> HopeStore<V> {
     ) -> Result<RangeCursor<'_, V>, StoreError> {
         validate_key(low)?;
         validate_key(high)?;
-        Ok(RangeCursor::new(self, low, high, limit))
+        Ok(RangeCursor::new(Source::Live(self), &self.boundaries, low, high, limit))
     }
 
     /// Visitor-form range scan: call `f(key, value)` for up to `limit`
@@ -520,7 +547,7 @@ impl<V: Value> HopeStore<V> {
     {
         validate_key(low)?;
         validate_key(high)?;
-        cursor::push_scan(self, low, high, limit, f)
+        cursor::scan(Source::Live(self), &self.boundaries, low, high, limit, f)
     }
 
     /// Collect-form range scan: append up to `limit` `(key, value)` pairs
@@ -629,7 +656,7 @@ impl<V: Value> HopeStore<V> {
                 versioned::Pin { generation, watermark, live }
             })
             .collect();
-        Snapshot::capture(pins, self.boundaries.clone(), Arc::clone(&self.telemetry))
+        Snapshot::capture(pins, Arc::clone(&self.boundaries), Arc::clone(&self.telemetry))
     }
 
     /// One maintenance pass: every shard whose observed compression rate
@@ -764,12 +791,7 @@ impl<V: Value> HopeStore<V> {
             // a rebuild triggers when it sinks under degrade_ratio × 1000.
             let drift = if baseline > 0.0 && observed > 0.0 { observed / baseline } else { 0.0 };
             reg.gauge(&format!("store.shard.{i}.drift_milli")).set((drift * 1000.0) as u64);
-            let cs = s.codec_stats();
-            codec.fast_encode_keys += cs.fast_encode_keys;
-            codec.generic_encode_keys += cs.generic_encode_keys;
-            codec.automaton_fallback_takes += cs.automaton_fallback_takes;
-            codec.fast_decode_keys += cs.fast_decode_keys;
-            codec.walk_decode_keys += cs.walk_decode_keys;
+            codec += s.codec_stats();
         }
         reg.counter("store.codec.fast_encode_keys").raise_to(codec.fast_encode_keys);
         reg.counter("store.codec.generic_encode_keys").raise_to(codec.generic_encode_keys);
@@ -781,14 +803,15 @@ impl<V: Value> HopeStore<V> {
 
     /// [`HopeStore::get`] with per-stage span timing (encode vs probe) —
     /// the serving layer's sampled tracing path. Semantically identical
-    /// to `get`; the spans cost two extra `Instant` reads, which is why
-    /// the untraced path stays separate.
+    /// to `get`: the same code path, timed by a span clock.
     ///
     /// # Errors
     ///
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get_traced(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.shards[self.route(key)].get_traced(key)
+        let mut clock = SpanClock::new();
+        let found = self.lookup(key, &mut clock, V::clone)?;
+        Ok((found, clock.spans))
     }
 
     /// [`HopeStore::insert`] with per-stage span timing (encode vs the
@@ -803,7 +826,9 @@ impl<V: Value> HopeStore<V> {
         key: Vec<u8>,
         value: V,
     ) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.shards[self.route(&key)].insert_traced(&key, value)
+        let mut clock = SpanClock::new();
+        let old = self.put(&key, value, &mut clock)?;
+        Ok((old, clock.spans))
     }
 
     /// Per-shard health snapshot.

@@ -3,11 +3,13 @@
 //!
 //! Workers also carry the sampled-tracing hook: when
 //! [`ServingConfig::trace_sample_every`](super::ServingConfig) is `N > 0`,
-//! every Nth request a worker executes runs on the store's traced probe
-//! paths and its queue-wait / encode / probe / decode spans land in the
-//! `serving.trace.*` histograms of the store's telemetry registry. The
-//! untraced path is untouched — disabled tracing costs one predictable
-//! branch per request.
+//! every Nth request a worker executes is timed by a span clock (the
+//! same code path as every other request, see
+//! [`StageClock`](crate::telemetry::StageClock)) and its queue-wait /
+//! encode / probe / decode spans land in the `serving.trace.*`
+//! histograms of the store's telemetry registry. Untraced requests run
+//! with the no-op clock — disabled tracing costs one predictable branch
+//! per request.
 //!
 //! Fault injection rides the same loop: when the config carries a
 //! [`FaultPlan`](super::FaultPlan) with serving-side faults, each request
@@ -25,7 +27,8 @@ use hope::Value;
 use super::faults::FaultTally;
 use super::metrics::LatencyHistogram;
 use super::{virtual_cost, Envelope, Request, Response, ScanSummary, Shared};
-use crate::telemetry::{Histo, ProbeSpans, TraceSampler};
+use crate::cursor::RangeCursor;
+use crate::telemetry::{Histo, ProbeSpans, SpanClock, Stage, StageClock, TraceSampler};
 
 /// Per-phase accumulator one worker keeps (merged at shutdown).
 #[derive(Debug)]
@@ -71,141 +74,55 @@ struct TraceHistos {
     decode: Histo,
 }
 
-/// Execute one request against the store.
-fn execute<V: Value>(shared: &Shared<V>, req: Request<V>) -> Response<V> {
-    match req {
-        Request::Get { key } => match shared.store.get(&key) {
-            Ok(v) => Response::Get(v),
-            Err(e) => Response::Error(e),
-        },
-        Request::Insert { key, value } => match shared.store.insert(key, value) {
-            Ok(prev) => Response::Insert(prev),
-            Err(e) => Response::Error(e),
-        },
+/// Execute one request against the store, timed by `clock` (`()` for an
+/// untraced request). Point ops lap encode and probe inside the store;
+/// scans charge the time to the first hit to the probe span (a snapshot
+/// scan's capture included) and the rest of the pull loop to decode.
+fn execute<V: Value>(
+    shared: &Shared<V>,
+    req: Request<V>,
+    clock: &mut impl StageClock,
+) -> Response<V> {
+    let outcome = match req {
+        Request::Get { key } => shared.store.lookup(&key, clock, V::clone).map(Response::Get),
+        Request::Insert { key, value } => {
+            shared.store.put(&key, value, clock).map(Response::Insert)
+        }
         Request::Scan { low, high, limit } => {
-            let mut cur = match shared.store.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return Response::Error(e),
-            };
-            let mut summary = ScanSummary::default();
-            while let Some((k, _v)) = cur.next_hit() {
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            match cur.error() {
-                Some(e) => Response::Error(e.clone()),
-                None => Response::Scan(summary),
-            }
+            clock.start();
+            shared.store.cursor(&low, &high, limit).map(|cur| drain(cur, clock))
         }
         Request::SnapshotScan { low, high, limit } => {
             // The capture pins every shard at one instant; the cursor
             // then reads that instant no matter what swaps or writes
             // land mid-scan (its epochs are the *pinned* generations').
+            clock.start();
             let snap = shared.store.snapshot();
-            let mut cur = match snap.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return Response::Error(e),
-            };
-            let mut summary = ScanSummary::default();
-            while let Some((k, _v)) = cur.next_hit() {
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            match cur.error() {
-                Some(e) => Response::Error(e.clone()),
-                None => Response::Scan(summary),
-            }
+            snap.cursor(&low, &high, limit).map(|cur| drain(cur, clock))
         }
-    }
+    };
+    outcome.unwrap_or_else(Response::Error)
 }
 
-/// [`execute`] on the store's span-timed paths. For scans, the probe span
-/// is the time to the first hit (bound encode + index descent) and the
-/// decode span is the remainder of the pull loop.
-fn execute_traced<V: Value>(
-    shared: &Shared<V>,
-    req: Request<V>,
-) -> (Response<V>, Option<ProbeSpans>) {
-    match req {
-        Request::Get { key } => match shared.store.get_traced(&key) {
-            Ok((v, spans)) => (Response::Get(v), Some(spans)),
-            Err(e) => (Response::Error(e), None),
-        },
-        Request::Insert { key, value } => match shared.store.insert_traced(key, value) {
-            Ok((prev, spans)) => (Response::Insert(prev), Some(spans)),
-            Err(e) => (Response::Error(e), None),
-        },
-        Request::Scan { low, high, limit } => {
-            let probe_started = Instant::now();
-            let mut cur = match shared.store.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return (Response::Error(e), None),
-            };
-            let mut summary = ScanSummary::default();
-            let mut probe_ns = 0u64;
-            let mut pull_started: Option<Instant> = None;
-            while let Some((k, _v)) = cur.next_hit() {
-                if summary.hits == 0 {
-                    probe_ns = probe_started.elapsed().as_nanos() as u64;
-                    pull_started = Some(Instant::now());
-                }
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            if summary.hits == 0 {
-                probe_ns = probe_started.elapsed().as_nanos() as u64;
-            }
-            let decode_ns = pull_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let spans = ProbeSpans { encode_ns: 0, probe_ns, decode_ns };
-            match cur.error() {
-                Some(e) => (Response::Error(e.clone()), None),
-                None => (Response::Scan(summary), Some(spans)),
-            }
+/// Pull every hit of a scan into its summary, lapping `clock` at the
+/// first hit ([`Stage::Probe`]: bound encode + index descent) and at the
+/// end ([`Stage::Decode`]; a scan without hits is all probe).
+fn drain<V: Value>(mut cur: RangeCursor<'_, V>, clock: &mut impl StageClock) -> Response<V> {
+    let mut summary = ScanSummary::default();
+    while let Some((k, _v)) = cur.next_hit() {
+        if summary.hits == 0 {
+            clock.lap(Stage::Probe);
         }
-        Request::SnapshotScan { low, high, limit } => {
-            // Probe span = snapshot capture + bound encode + descent to
-            // the first hit; decode span = the rest of the pull loop —
-            // the same split as a plain traced scan, with the capture
-            // charged to the probe.
-            let probe_started = Instant::now();
-            let snap = shared.store.snapshot();
-            let mut cur = match snap.cursor(&low, &high, limit) {
-                Ok(c) => c,
-                Err(e) => return (Response::Error(e), None),
-            };
-            let mut summary = ScanSummary::default();
-            let mut probe_ns = 0u64;
-            let mut pull_started: Option<Instant> = None;
-            while let Some((k, _v)) = cur.next_hit() {
-                if summary.hits == 0 {
-                    probe_ns = probe_started.elapsed().as_nanos() as u64;
-                    pull_started = Some(Instant::now());
-                }
-                summary.hits += 1;
-                summary.key_bytes += k.len() as u64;
-                if let Some(e) = cur.hit_epoch() {
-                    summary.note_epoch(e);
-                }
-            }
-            if summary.hits == 0 {
-                probe_ns = probe_started.elapsed().as_nanos() as u64;
-            }
-            let decode_ns = pull_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let spans = ProbeSpans { encode_ns: 0, probe_ns, decode_ns };
-            match cur.error() {
-                Some(e) => (Response::Error(e.clone()), None),
-                None => (Response::Scan(summary), Some(spans)),
-            }
+        summary.hits += 1;
+        summary.key_bytes += k.len() as u64;
+        if let Some(e) = cur.hit_epoch() {
+            summary.note_epoch(e);
         }
+    }
+    clock.lap(if summary.hits == 0 { Stage::Probe } else { Stage::Decode });
+    match cur.error() {
+        Some(e) => Response::Error(e.clone()),
+        None => Response::Scan(summary),
     }
 }
 
@@ -338,8 +255,15 @@ fn run_one<V: Value>(
     acc: &mut PhaseAccum,
     traced: bool,
 ) -> Option<ProbeSpans> {
-    let (resp, spans) =
-        if traced { execute_traced(shared, req) } else { (execute(shared, req), None) };
+    let (resp, spans) = if traced {
+        let mut clock = SpanClock::new();
+        let resp = execute(shared, req, &mut clock);
+        // Error responses record no spans.
+        let spans = (!matches!(resp, Response::Error(_))).then_some(clock.spans);
+        (resp, spans)
+    } else {
+        (execute(shared, req, &mut ()), None)
+    };
     finish(ticket, resp, acc);
     spans
 }

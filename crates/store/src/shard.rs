@@ -8,19 +8,35 @@
 //!
 //! ## Concurrency protocol
 //!
+//! A shard's state sits behind four locks, each folding in the state
+//! that is only ever touched under it:
+//!
+//! | lock | guards |
+//! |------|--------|
+//! | `rebuilding: Mutex<FaultState>` | whole rebuilds, one at a time; the optional fault plan and its attempt counter |
+//! | `writer: Mutex<Reservoir>` | inserts and the swap splice; the traffic reservoir every insert feeds |
+//! | `epoch: RwLock<EpochSlot>` | the current generation and the codec counts of superseded ones |
+//! | the generation's data `RwLock` | its index, entry log and slot heads |
+//!
 //! * **Readers** (`get`/range cursors) clone the `Arc<Generation>` out of
 //!   the epoch slot (a short `RwLock` read) and run against that
 //!   generation — they never block on writers or on a rebuild, and a
 //!   reader holding a superseded generation drains gracefully because the
 //!   `Arc` keeps it alive.
-//! * **Writers** (`insert`) serialize on the shard's writer mutex, then
-//!   mutate the current generation through its interior lock.
-//! * **Rebuild** does the expensive work — dictionary build, Hu-Tucker,
-//!   re-encoding the live keys — with *no* locks held; writers contend
-//!   only with the initial snapshot clone (a data read-lock hold) and the
-//!   final splice (writer mutex: replay the log tail, flip the epoch
-//!   slot). Lock order is always `writer → epoch slot → generation data`,
-//!   so the protocol is deadlock-free.
+//! * **Writers** (`insert`) take three locks: the writer mutex (which
+//!   also serializes them against each other and admits the key to the
+//!   reservoir), an epoch-slot read, and the generation's data write.
+//! * **Rebuild** holds the rebuild mutex throughout and does the
+//!   expensive work — dictionary build, Hu-Tucker, re-encoding the live
+//!   keys — with no other lock held; writers contend only with the
+//!   sample clone (writer mutex), the snapshot clone (a data read-lock
+//!   hold) and the final splice (writer mutex: replay the log tail, then
+//!   fold the old generation's codec counts and flip under one epoch-slot
+//!   write). Installing a fault plan takes the rebuild mutex, so it waits
+//!   for an in-flight rebuild instead of racing it.
+//!
+//! Lock order is always `rebuilding → writer → epoch slot → generation
+//! data`, so the protocol is deadlock-free.
 //!
 //! Shard locks recover from poisoning like the generation's interior lock
 //! does (see [`crate::generation`], "Lock discipline").
@@ -35,7 +51,7 @@ use hope::{CodecStats, Value};
 use crate::error::StoreError;
 use crate::generation::{Entry, Generation, MergeSource};
 use crate::serving::FaultPlan;
-use crate::telemetry::{Counter, Event, EventKind, ProbeSpans, Telemetry};
+use crate::telemetry::{Counter, Event, EventKind, StageClock, Telemetry};
 use crate::{StoreConfig, SwapReport};
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -68,29 +84,37 @@ impl ShardTelemetry {
     }
 }
 
-/// The maintenance-path fault hook: an optionally installed [`FaultPlan`]
-/// plus the per-shard rebuild-attempt counter its decisions key on. The
-/// counter only advances while a plan is installed, so an injection
-/// window's attempt numbering is deterministic regardless of what the
-/// store did before it.
-#[derive(Debug)]
-pub(crate) struct ShardFaults {
-    plan: Mutex<Option<FaultPlan>>,
-    attempts: AtomicU64,
+/// The maintenance-path fault hook, kept under the rebuild mutex: an
+/// optionally installed [`FaultPlan`] plus the per-shard rebuild-attempt
+/// counter its decisions key on. The counter only advances while a plan
+/// is installed, so an injection window's attempt numbering is
+/// deterministic regardless of what the store did before it.
+#[derive(Debug, Default)]
+struct FaultState {
+    plan: Option<FaultPlan>,
+    attempts: u64,
 }
 
-impl ShardFaults {
-    fn new() -> Self {
-        ShardFaults { plan: Mutex::new(None), attempts: AtomicU64::new(0) }
-    }
-
+impl FaultState {
     /// The injection decision for one rebuild attempt (`None` = proceed).
-    fn check(&self, shard: usize) -> Option<StoreError> {
-        let plan = (*lock(&self.plan))?;
-        let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
+    fn check(&mut self, shard: usize) -> Option<StoreError> {
+        let plan = self.plan?;
+        let attempt = self.attempts;
+        self.attempts += 1;
         plan.rebuild_fails(shard as u32, attempt)
             .then_some(StoreError::FaultInjected { shard, attempt })
     }
+}
+
+/// What the epoch slot holds: the current generation, plus the codec
+/// path counters of superseded generations (their `Hope` dies with the
+/// old `Arc`), so store-level codec telemetry stays monotone across
+/// swaps. A swap folds and flips under one write lock, so a generation
+/// is never counted both live and retired.
+#[derive(Debug)]
+struct EpochSlot<V: Value> {
+    generation: Arc<Generation<V>>,
+    retired: CodecStats,
 }
 
 /// Uniform reservoir sample (algorithm R) over the keys inserted since the
@@ -140,27 +164,21 @@ impl Reservoir {
 #[derive(Debug)]
 pub(crate) struct Shard<V: Value = u64> {
     /// The epoch slot: the current generation, swapped atomically.
-    gen: RwLock<Arc<Generation<V>>>,
-    /// Serializes writers against each other and against the swap splice.
-    writer: Mutex<()>,
-    /// Serializes whole rebuilds: two overlapping rebuilds could otherwise
+    epoch: RwLock<EpochSlot<V>>,
+    /// Serializes writers against each other and against the swap splice;
+    /// holds the traffic sample feeding the next dictionary rebuild.
+    writer: Mutex<Reservoir>,
+    /// Serializes whole rebuilds (two overlapping rebuilds could otherwise
     /// both snapshot the same generation and the later flip would drop the
-    /// earlier one's replayed writes.
-    rebuilding: Mutex<()>,
+    /// earlier one's replayed writes); holds the fault-injection hook on
+    /// the rebuild path (testing/acceptance).
+    rebuilding: Mutex<FaultState>,
     /// Source bytes encoded by inserts since the current generation.
     obs_src: AtomicU64,
     /// Padded encoded bytes produced by those inserts.
     obs_enc: AtomicU64,
-    /// Traffic sample feeding the next dictionary rebuild.
-    reservoir: Mutex<Reservoir>,
     /// Telemetry slice: rebuild counters and the shared event ring.
     tel: ShardTelemetry,
-    /// Fault-injection hook on the rebuild path (testing/acceptance).
-    faults: ShardFaults,
-    /// Codec path counters accumulated from superseded generations at
-    /// swap time (their `Hope` dies with the old `Arc`), so store-level
-    /// codec telemetry stays monotone across swaps.
-    retired: Mutex<CodecStats>,
 }
 
 impl<V: Value> Shard<V> {
@@ -171,29 +189,28 @@ impl<V: Value> Shard<V> {
         tel: ShardTelemetry,
     ) -> Self {
         Shard {
-            gen: RwLock::new(Arc::new(generation)),
-            writer: Mutex::new(()),
-            rebuilding: Mutex::new(()),
+            epoch: RwLock::new(EpochSlot {
+                generation: Arc::new(generation),
+                retired: CodecStats::default(),
+            }),
+            writer: Mutex::new(Reservoir::new(reservoir_capacity, seed)),
+            rebuilding: Mutex::new(FaultState::default()),
             obs_src: AtomicU64::new(0),
             obs_enc: AtomicU64::new(0),
-            reservoir: Mutex::new(Reservoir::new(reservoir_capacity, seed)),
             tel,
-            faults: ShardFaults::new(),
-            retired: Mutex::new(CodecStats::default()),
         }
     }
 
     /// Install (or clear) the rebuild fault-injection plan. Installing
     /// resets the attempt counter so injection cadences start from
-    /// attempt 0.
+    /// attempt 0; it waits for an in-flight rebuild to finish.
     pub(crate) fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *lock(&self.faults.plan) = plan;
-        self.faults.attempts.store(0, Ordering::Relaxed);
+        *lock(&self.rebuilding) = FaultState { plan, attempts: 0 };
     }
 
     /// Clone the current generation out of the epoch slot.
     pub(crate) fn current(&self) -> Arc<Generation<V>> {
-        Arc::clone(&self.gen.read().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.epoch.read().unwrap_or_else(PoisonError::into_inner).generation)
     }
 
     /// Hold this shard's writer mutex. The store-wide snapshot capture
@@ -201,71 +218,38 @@ impl<V: Value> Shard<V> {
     /// insert or swap splice can interleave between its per-shard
     /// `(generation, watermark)` reads — the only code path that ever
     /// holds more than one writer lock, which keeps it deadlock-free.
-    pub(crate) fn writer_lock(&self) -> MutexGuard<'_, ()> {
+    pub(crate) fn writer_lock(&self) -> MutexGuard<'_, Reservoir> {
         lock(&self.writer)
     }
 
-    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
-        self.current().get(key)
-    }
-
-    pub(crate) fn get_with<R>(
-        &self,
-        key: &[u8],
-        f: impl FnOnce(&V) -> R,
-    ) -> Result<Option<R>, StoreError> {
-        self.current().get_with(key, f)
-    }
-
-    pub(crate) fn insert(&self, key: &[u8], value: V) -> Result<Option<V>, StoreError> {
-        let _w = lock(&self.writer);
-        let generation = self.current();
-        let (old, footprint) = generation.insert(key, value)?;
-        self.obs_src.fetch_add(footprint.src_bytes, Ordering::Relaxed);
-        self.obs_enc.fetch_add(footprint.enc_bytes, Ordering::Relaxed);
-        lock(&self.reservoir).offer(key);
-        Ok(old)
-    }
-
-    /// [`Shard::get`] with per-stage span timing (sampled tracing path).
-    pub(crate) fn get_traced(&self, key: &[u8]) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        self.current().get_spanned(key)
-    }
-
-    /// [`Shard::insert`] with per-stage span timing (sampled tracing
-    /// path); drift accounting is identical to the untraced insert.
-    pub(crate) fn insert_traced(
+    /// Insert or update under the writer mutex, feeding the drift
+    /// statistics and the reservoir; `clock` times the generation's
+    /// encode and mutation.
+    pub(crate) fn insert(
         &self,
         key: &[u8],
         value: V,
-    ) -> Result<(Option<V>, ProbeSpans), StoreError> {
-        let _w = lock(&self.writer);
-        let generation = self.current();
-        let (old, footprint, spans) = generation.insert_spanned(key, value)?;
+        clock: &mut impl StageClock,
+    ) -> Result<Option<V>, StoreError> {
+        let mut reservoir = lock(&self.writer);
+        let (old, footprint) = self.current().insert(key, value, clock)?;
         self.obs_src.fetch_add(footprint.src_bytes, Ordering::Relaxed);
         self.obs_enc.fetch_add(footprint.enc_bytes, Ordering::Relaxed);
-        lock(&self.reservoir).offer(key);
-        Ok((old, spans))
+        reservoir.offer(key);
+        Ok(old)
     }
 
     /// Codec path counters: the live generation's compressor plus
-    /// everything accumulated from superseded generations at swap time.
-    /// The `retired` lock is held across reading the live generation,
-    /// and a swap folds and flips under that same lock, so a superseded
-    /// generation is never counted both ways. (Readers still draining on
-    /// a superseded generation after the flip may contribute a handful of
-    /// uncounted probes — the totals are observability, not accounting.)
+    /// everything accumulated from superseded generations at swap time,
+    /// read under one epoch-slot read lock (see [`EpochSlot`]). Readers
+    /// still draining on a superseded generation after the flip may
+    /// contribute a handful of uncounted probes — the totals are
+    /// observability, not accounting.
     pub(crate) fn codec_stats(&self) -> CodecStats {
-        let retired = lock(&self.retired);
-        let live = self.current().hope().codec_stats();
-        CodecStats {
-            fast_encode_keys: retired.fast_encode_keys + live.fast_encode_keys,
-            generic_encode_keys: retired.generic_encode_keys + live.generic_encode_keys,
-            automaton_fallback_takes: retired.automaton_fallback_takes
-                + live.automaton_fallback_takes,
-            fast_decode_keys: retired.fast_decode_keys + live.fast_decode_keys,
-            walk_decode_keys: retired.walk_decode_keys + live.walk_decode_keys,
-        }
+        let slot = self.epoch.read().unwrap_or_else(PoisonError::into_inner);
+        let mut stats = slot.retired;
+        stats += slot.generation.hope().codec_stats();
+        stats
     }
 
     /// CPR observed on the insert traffic of the current generation, or
@@ -312,11 +296,11 @@ impl<V: Value> Shard<V> {
         cfg: &StoreConfig,
         epoch_counter: &AtomicU64,
     ) -> Result<Option<SwapReport>, StoreError> {
-        let guard = lock(&self.rebuilding);
+        let mut faults = lock(&self.rebuilding);
         if !self.needs_rebuild(cfg) {
             return Ok(None);
         }
-        self.rebuild_locked(shard_id, cfg, epoch_counter, guard).map(Some)
+        self.rebuild_locked(shard_id, cfg, epoch_counter, &mut faults).map(Some)
     }
 
     /// Unconditional rebuild (testing/operations): always swaps.
@@ -326,8 +310,8 @@ impl<V: Value> Shard<V> {
         cfg: &StoreConfig,
         epoch_counter: &AtomicU64,
     ) -> Result<SwapReport, StoreError> {
-        let guard = lock(&self.rebuilding);
-        self.rebuild_locked(shard_id, cfg, epoch_counter, guard)
+        let mut faults = lock(&self.rebuilding);
+        self.rebuild_locked(shard_id, cfg, epoch_counter, &mut faults)
     }
 
     /// Build a new generation from the reservoir sample and hot-swap it
@@ -335,13 +319,14 @@ impl<V: Value> Shard<V> {
     /// the flip and never block. Writers are paused twice: during the
     /// snapshot clone (it holds the generation's data read lock) and
     /// during the replay+flip splice; the expensive dictionary build and
-    /// re-encode in between run with no locks held.
+    /// re-encode in between run with no other lock held. `faults` is the
+    /// state behind the caller-held rebuild mutex.
     fn rebuild_locked(
         &self,
         shard_id: usize,
         cfg: &StoreConfig,
         epoch_counter: &AtomicU64,
-        _rebuild_guard: MutexGuard<'_, ()>,
+        faults: &mut FaultState,
     ) -> Result<SwapReport, StoreError> {
         let started = Instant::now();
         let prev_epoch = self.current().epoch();
@@ -351,7 +336,7 @@ impl<V: Value> Shard<V> {
             epoch: prev_epoch,
             ..self.tel.event(EventKind::SwapBegin)
         });
-        match self.rebuild_inner(shard_id, cfg, epoch_counter) {
+        match self.rebuild_inner(shard_id, cfg, epoch_counter, faults) {
             Ok((report, dict_bytes)) => {
                 self.tel.rebuilds.inc();
                 self.tel.hub.events().record(Event {
@@ -405,7 +390,7 @@ impl<V: Value> Shard<V> {
         }
     }
 
-    /// The rebuild itself (runs under the caller-held rebuild guard);
+    /// The rebuild itself (runs under the caller-held rebuild mutex);
     /// returns the report plus the new dictionary's memory footprint for
     /// the swap-end event.
     fn rebuild_inner(
@@ -413,12 +398,13 @@ impl<V: Value> Shard<V> {
         shard_id: usize,
         cfg: &StoreConfig,
         epoch_counter: &AtomicU64,
+        faults: &mut FaultState,
     ) -> Result<(SwapReport, usize), StoreError> {
         // The fault hook fires before any build work: an injected failure
         // costs nothing, mutates nothing, and flows through the same
         // error path (rebuild_errors counter + RebuildFailed event) a
         // real dictionary-build failure would.
-        if let Some(e) = self.faults.check(shard_id) {
+        if let Some(e) = faults.check(shard_id) {
             self.tel.hub.registry().counter("store.faults.injected_rebuild_failures").inc();
             return Err(e);
         }
@@ -427,7 +413,7 @@ impl<V: Value> Shard<V> {
 
         // Sample = reservoir (recent traffic), topped up with resident
         // keys when traffic alone is too thin to train a dictionary.
-        let mut sample: Vec<Vec<u8>> = lock(&self.reservoir).keys.clone();
+        let mut sample: Vec<Vec<u8>> = lock(&self.writer).keys.clone();
         if sample.len() < cfg.reservoir_capacity {
             let need = cfg.reservoir_capacity - sample.len();
             let step = (live.len() / need.max(1)).max(1);
@@ -494,11 +480,11 @@ impl<V: Value> Shard<V> {
         // their original insert, so a failure here (which would abort the
         // swap and keep the old generation serving) cannot happen in
         // practice; `?` still propagates it honestly if it ever does.
-        let _w = lock(&self.writer);
+        let mut reservoir = lock(&self.writer);
         let delta = old.entries_since(watermark);
         let replayed = delta.len();
         for Entry { key, value, .. } in delta {
-            next.insert(&key, value)?;
+            next.insert(&key, value, &mut ())?;
         }
         let report = SwapReport {
             shard: shard_id,
@@ -515,21 +501,15 @@ impl<V: Value> Shard<V> {
         };
         let dict_bytes = next.hope().dict_memory_bytes();
         // The old generation's codec counters die with its `Arc`; fold
-        // them into the retired total and flip under one `retired` lock
-        // (see `codec_stats`).
+        // them into the retired total and flip under one epoch-slot write.
         {
-            let mut retired = lock(&self.retired);
-            let old_codec = old.hope().codec_stats();
-            retired.fast_encode_keys += old_codec.fast_encode_keys;
-            retired.generic_encode_keys += old_codec.generic_encode_keys;
-            retired.automaton_fallback_takes += old_codec.automaton_fallback_takes;
-            retired.fast_decode_keys += old_codec.fast_decode_keys;
-            retired.walk_decode_keys += old_codec.walk_decode_keys;
-            *self.gen.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+            let mut slot = self.epoch.write().unwrap_or_else(PoisonError::into_inner);
+            slot.retired += old.hope().codec_stats();
+            slot.generation = Arc::new(next);
         }
         self.obs_src.store(0, Ordering::Relaxed);
         self.obs_enc.store(0, Ordering::Relaxed);
-        lock(&self.reservoir).reset();
+        reservoir.reset();
         Ok((report, dict_bytes))
     }
 }

@@ -38,9 +38,10 @@ use std::sync::Arc;
 
 use hope::Value;
 
-use crate::cursor::{self, RangeCursor};
+use crate::cursor::{self, RangeCursor, Source};
 use crate::error::{validate_key, StoreError};
 use crate::generation::Generation;
+use crate::route;
 use crate::telemetry::{Event, EventKind, Telemetry};
 
 /// One shard's contribution to a snapshot: the pinned generation, the
@@ -80,9 +81,9 @@ pub(crate) struct Pin<V: Value> {
 #[derive(Debug)]
 pub struct Snapshot<V: Value = u64> {
     pins: Vec<Pin<V>>,
-    /// Source-form shard split points, cloned from the store (the store
+    /// Source-form shard split points, shared with the store (the store
     /// may outlive the snapshot or vice versa; no borrow either way).
-    boundaries: Vec<Vec<u8>>,
+    boundaries: Arc<[Vec<u8>]>,
     telemetry: Arc<Telemetry>,
     /// Minimum and maximum pinned generation epoch (lifecycle events).
     min_epoch: u64,
@@ -95,7 +96,7 @@ impl<V: Value> Snapshot<V> {
     /// locks, and emit its creation telemetry.
     pub(crate) fn capture(
         pins: Vec<Pin<V>>,
-        boundaries: Vec<Vec<u8>>,
+        boundaries: Arc<[Vec<u8>]>,
         telemetry: Arc<Telemetry>,
     ) -> Snapshot<V> {
         let min_epoch = pins.iter().map(|p| p.generation.epoch()).min().unwrap_or(0);
@@ -115,12 +116,6 @@ impl<V: Value> Snapshot<V> {
         snap
     }
 
-    /// Shard index responsible for `key` (same routing as the store: the
-    /// split points are immutable for the store's lifetime).
-    pub(crate) fn route(&self, key: &[u8]) -> usize {
-        self.boundaries.partition_point(|b| b.as_slice() <= key)
-    }
-
     /// The pinned generation and watermark of one shard (cursor
     /// internals).
     pub(crate) fn pin(&self, shard: usize) -> (Arc<Generation<V>>, usize) {
@@ -134,7 +129,7 @@ impl<V: Value> Snapshot<V> {
     ///
     /// [`StoreError::Codec`] when the probe key fails validation.
     pub fn get(&self, key: &[u8]) -> Result<Option<V>, StoreError> {
-        let p = &self.pins[self.route(key)];
+        let p = &self.pins[route(&self.boundaries, key)];
         p.generation.get_at(key, p.watermark)
     }
 
@@ -162,7 +157,7 @@ impl<V: Value> Snapshot<V> {
     {
         validate_key(low)?;
         validate_key(high)?;
-        cursor::snap_scan(self, low, high, limit, f)
+        cursor::scan(Source::Snap(self), &self.boundaries, low, high, limit, f)
     }
 
     /// Collect-form range scan: append up to `limit` `(key, value)`
@@ -198,7 +193,7 @@ impl<V: Value> Snapshot<V> {
     ) -> Result<RangeCursor<'_, V>, StoreError> {
         validate_key(low)?;
         validate_key(high)?;
-        Ok(RangeCursor::new_snap(self, low, high, limit))
+        Ok(RangeCursor::new(Source::Snap(self), &self.boundaries, low, high, limit))
     }
 
     /// Live keys at the capture instant, summed across shards.

@@ -13,7 +13,7 @@
 //! the release run is the stress configuration).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hope::{DecodeScratch, EncodedKey, Scheme};
@@ -451,6 +451,67 @@ fn clear_faults_restores_forced_rebuilds() {
     let tel = store.telemetry();
     assert_eq!(tel.counter("store.faults.injected_rebuild_failures"), Some(3));
     assert_eq!(tel.events_of(EventKind::RebuildFailed).count(), 3);
+}
+
+/// Installing and clearing fault plans while another thread loops
+/// `force_rebuild`. The plan and its attempt counter live under the
+/// shard's rebuild mutex, so an install waits for the in-flight rebuild
+/// instead of racing it: nothing deadlocks, no write is lost across the
+/// swaps, and once the threads are joined an install counts attempts
+/// from 0 again.
+#[test]
+fn fault_plans_installed_during_rebuilds() {
+    let cfg = StoreConfig { shards: 2, min_observed_bytes: u64::MAX, ..StoreConfig::default() };
+    let store = Arc::new(HopeStore::build(cfg, email_pairs(1_000)).unwrap());
+    let mut shadow: BTreeMap<Vec<u8>, u64> = email_pairs(1_000).into_iter().collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    // Rebuild outcomes so far: [swapped, failed by an injected fault].
+    let outcomes = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let rebuilder = {
+        let (store, stop, outcomes) =
+            (Arc::clone(&store), Arc::clone(&stop), Arc::clone(&outcomes));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                for shard in 0..2 {
+                    let outcome = match store.force_rebuild(shard) {
+                        Ok(_) => 0,
+                        Err(StoreError::FaultInjected { .. }) => 1,
+                        Err(e) => panic!("shard {shard}: {e}"),
+                    };
+                    outcomes[outcome].fetch_add(1, Ordering::Relaxed);
+                    // Leave the installer a window on the rebuild mutex.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            }
+        })
+    };
+    // Keep installing until rebuilds have both swapped and failed
+    // between the installs.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let mut round = 0u64;
+    while round < 20 || outcomes.iter().any(|n| n.load(Ordering::Relaxed) < 3) {
+        assert!(std::time::Instant::now() < deadline, "rebuilds starved: {outcomes:?}");
+        store
+            .inject_faults(FaultPlan { rebuild_fail_every: 1 + round % 3, ..FaultPlan::default() });
+        let k = format!("org.acm@writer{round:05}").into_bytes();
+        assert_eq!(store.insert(k.clone(), round).unwrap(), shadow.insert(k, round));
+        std::thread::sleep(std::time::Duration::from_micros(500));
+        store.clear_faults();
+        std::thread::sleep(std::time::Duration::from_micros(500));
+        round += 1;
+    }
+    stop.store(true, Ordering::Relaxed);
+    rebuilder.join().expect("rebuilder panicked");
+    assert_eq!(store.len(), shadow.len());
+    for (k, v) in &shadow {
+        assert_eq!(store.get(k).unwrap(), Some(*v), "lost {k:?}");
+    }
+    store.inject_faults(FaultPlan { rebuild_fail_every: 2, ..FaultPlan::default() });
+    assert!(matches!(
+        store.force_rebuild(0),
+        Err(StoreError::FaultInjected { shard: 0, attempt: 0 })
+    ));
+    store.force_rebuild(0).expect("attempt 1 succeeds");
 }
 
 /// [`ScanSummary::epochs`] under a forced swap landing mid-scan: the

@@ -268,3 +268,106 @@ fn ties_survive_a_full_rebuild() {
         assert_snapshot(&snap, &frozen, &groups);
     }
 }
+
+/// Every request of a serving run over the tie keys, with its phase:
+/// gets of every candidate (present, absent and tied), scans and
+/// snapshot scans bounded inside ties, inserts and updates landing in
+/// tie chains, and a key the codec rejects in each phase.
+fn serving_requests(groups: &[Vec<Vec<u8>>]) -> Vec<(Request, usize)> {
+    let giant = vec![b'x'; hope::MAX_KEY_BYTES + 1];
+    let mut reqs: Vec<(Request, usize)> =
+        candidates().into_iter().map(|k| (Request::get(k), 0)).collect();
+    for (low, high) in tie_bounds(groups) {
+        reqs.push((Request::scan(low.clone(), high.clone(), 3), 0));
+        reqs.push((Request::snapshot_scan(low, high, usize::MAX), 0));
+    }
+    reqs.push((Request::get(giant.clone()), 0));
+    for (i, k) in candidates().into_iter().enumerate() {
+        reqs.push((Request::insert(k, 5_000 + i as u64), 1));
+    }
+    reqs.push((Request::insert(giant, 1), 1));
+    reqs.extend(candidates().into_iter().map(|k| (Request::get(k), 1)));
+    reqs.push((Request::scan(Vec::new(), vec![0xff], usize::MAX), 1));
+    reqs
+}
+
+/// What a virtual-time serving run did: every ticket's response, the
+/// per-phase `[ops, gets, inserts, scans, scan_hits, errors]`, and how
+/// many requests recorded trace spans.
+type ServingRun = (Vec<Response>, Vec<[u64; 6]>, u64);
+
+fn serve_ties(backend: Backend, trace_sample_every: u32) -> ServingRun {
+    let store = std::sync::Arc::new(HopeStore::build(cfg(backend, 0.0), load()).unwrap());
+    let groups = tie_groups(&store);
+    let serving = ServingConfig {
+        workers: 1,
+        phases: 2,
+        virtual_time: true,
+        trace_sample_every,
+        ..ServingConfig::default()
+    };
+    let server = Server::start(store, serving).unwrap();
+    let tickets: Vec<Ticket> =
+        serving_requests(&groups).into_iter().map(|(r, p)| server.submit(r, p).unwrap()).collect();
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    let report = server.shutdown();
+    let counts = report
+        .phases
+        .iter()
+        .map(|p| [p.ops, p.gets, p.inserts, p.scans, p.scan_hits, p.errors])
+        .collect();
+    let traced = report.telemetry.histogram("serving.trace.encode").map_or(0, |h| h.count);
+    (responses, counts, traced)
+}
+
+/// The traced paths are the untraced ones timed by a span clock: same
+/// answers for present, absent and tied keys, same previous values and
+/// resulting store on insert, no decode span on point ops, and a serving
+/// run that traces every request completes exactly like one that traces
+/// none.
+#[test]
+fn traced_and_untraced_paths_agree_on_ties() {
+    for backend in BACKENDS {
+        let plain = HopeStore::build(cfg(backend, 0.0), load()).unwrap();
+        let traced = HopeStore::build(cfg(backend, 0.0), load()).unwrap();
+        let groups = tie_groups(&plain);
+        assert!(groups.iter().any(|g| g.len() >= 3), "{backend:?}: no tie of 3+ keys");
+
+        let giant = vec![b'x'; hope::MAX_KEY_BYTES + 1];
+        assert!(traced.get_traced(&giant).is_err());
+        assert!(traced.insert_traced(giant, 1).is_err());
+        for k in candidates() {
+            let (v, spans) = traced.get_traced(&k).unwrap();
+            assert_eq!(v, plain.get(&k).unwrap(), "{backend:?}: get {k:?}");
+            assert_eq!(spans.decode_ns, 0, "{backend:?}: get {k:?} {spans:?}");
+        }
+        // Inserts land in front of, inside and behind the loaded tie
+        // members; a second round updates every candidate.
+        for round in 0..2u64 {
+            for k in candidates() {
+                let v = round * 1_000 + k.len() as u64;
+                let (old, spans) = traced.insert_traced(k.clone(), v).unwrap();
+                assert_eq!(old, plain.insert(k.clone(), v).unwrap(), "{backend:?}: insert {k:?}");
+                assert_eq!(spans.decode_ns, 0, "{backend:?}: insert {k:?} {spans:?}");
+            }
+        }
+        assert_eq!(traced.len(), plain.len(), "{backend:?}");
+        for k in candidates() {
+            assert_eq!(traced.get(&k).unwrap(), plain.get(&k).unwrap(), "{backend:?}: {k:?}");
+        }
+        assert_eq!(scan(&traced, b"", b"\xff", usize::MAX), scan(&plain, b"", b"\xff", usize::MAX));
+        // Drift accounting saw the same traffic.
+        assert_eq!(traced.stats()[0].observed_cpr, plain.stats()[0].observed_cpr, "{backend:?}");
+
+        let (responses, counts, spans) = serve_ties(backend, 1);
+        let (plain_responses, plain_counts, plain_spans) = serve_ties(backend, 0);
+        assert_eq!(counts, plain_counts, "{backend:?}: per-phase counts");
+        assert_eq!(responses, plain_responses, "{backend:?}: ticket responses");
+        assert_eq!(plain_spans, 0, "{backend:?}: sampling off traces nothing");
+        // Every request is traced except the errors, which record no spans.
+        let ops: u64 = counts.iter().map(|c| c[0]).sum();
+        let errors: u64 = counts.iter().map(|c| c[5]).sum();
+        assert_eq!(errors, 2, "{backend:?}: the two oversized keys");
+        assert_eq!(spans, ops - errors, "{backend:?}");
+    }
+}
